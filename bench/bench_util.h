@@ -79,7 +79,8 @@ inline sim::SweepOptions PaperSweep() {
 }
 
 /// Figure binaries accept `--sim-mode cycle|event` (or `--sim-mode=...`) so
-/// the event engine can regenerate every curve; anything else is an error.
+/// the faster event schedule can regenerate every curve (identically);
+/// anything else is an error.
 inline sim::ExecMode ParseSimMode(int argc, char** argv) {
   std::string value;
   for (int i = 1; i < argc; ++i) {

@@ -15,21 +15,20 @@ class FaultPlan;
 
 namespace commsched::sim {
 
-/// How the simulator advances time.
+/// How the simulator schedules its per-cycle sweeps. Both modes produce
+/// identical results (every SimMetrics field); they differ only in speed
+/// (see DESIGN.md §11).
 enum class ExecMode {
-  /// Visit every switch, port, and VC on every cycle (the reference model).
+  /// Dense schedule: visit every switch, channel and host on every cycle.
+  /// The reference the event schedule is tested against.
   kCycle,
-  /// Hybrid event-driven: switches/ports/VCs are scheduled only when a
-  /// flit, credit, injection, or fault event is due, and idle spans are
-  /// skipped in O(1). Statistically equivalent to kCycle (same arrival
-  /// schedules, same protocol), but arbitration scan order may differ, so
-  /// results are validated by confidence intervals, not golden bytes (see
-  /// DESIGN.md §11).
+  /// Event schedule: visit a switch/channel/host only when a flit, credit,
+  /// injection or fault gives it work, and skip idle spans in O(1).
   kEvent,
 };
 
 struct SimConfig {
-  /// Execution engine; both modes implement the identical network protocol.
+  /// Sweep schedule; results do not depend on it.
   ExecMode exec_mode = ExecMode::kCycle;
 
   /// Flits per message (header + body; the tail is the last flit).

@@ -34,8 +34,8 @@ struct SimMetrics {
   std::size_t flits_delivered = 0;
 
   /// Cycle the run terminated at: warmup + measure unless the deadlock
-  /// watchdog stopped it early. Identical across ExecMode for drained runs
-  /// (the event engine's skipped spans count as simulated time).
+  /// watchdog stopped it early. Identical across ExecMode (event mode's
+  /// skipped spans count as simulated time).
   std::size_t simulated_cycles = 0;
 
   /// Source-queue growth over the measurement window, flits/cycle/switch:
@@ -63,6 +63,8 @@ struct SimMetrics {
     std::size_t messages_delivered = 0;
     std::size_t flits_delivered = 0;
     double avg_latency_cycles = 0.0;  // network latency, delivered messages
+
+    friend bool operator==(const AppMetrics&, const AppMetrics&) = default;
   };
   std::vector<AppMetrics> per_app;
 
@@ -72,6 +74,10 @@ struct SimMetrics {
     return deadlock_detected ||
            accepted_flits_per_switch_cycle < 0.95 * offered_flits_per_switch_cycle;
   }
+
+  /// Exact field-for-field equality; both ExecModes produce equal metrics
+  /// for the same run.
+  friend bool operator==(const SimMetrics&, const SimMetrics&) = default;
 };
 
 }  // namespace commsched::sim

@@ -93,15 +93,12 @@ void NetworkSimulator::ResetState() {
   messages_.clear();
   source_queue_.assign(graph_->host_count(), {});
   source_flits_pushed_.assign(graph_->host_count(), 0);
-  switch_rr_.assign(graph_->switch_count(), 0);
   channel_rr_.assign(ChannelCount(), 0);
   arb_switches_.Reset(graph_->switch_count());
   channel_active_.Reset(ChannelCount());
   delivery_active_.Reset(graph_->host_count());
   inject_active_.Reset(graph_->host_count());
   touched_set_.Reset(buffer_count);
-  touched_buffers_.clear();
-  active_sets_stale_ = false;
   pair_flits_.assign(
       config_.collect_traffic_matrix ? graph_->switch_count() * graph_->switch_count() : 0, 0);
   app_messages_.assign(pattern_->app_count(), 0);
@@ -152,10 +149,7 @@ void NetworkSimulator::PushFlit(Buffer& buffer, std::size_t index, std::uint32_t
   }
   buffer.tail = id;
   ++buffer.size;
-  if (event_mode_ && !touched_set_.Contains(index)) {
-    touched_set_.Add(index);
-    touched_buffers_.push_back(index);
-  }
+  touched_set_.Add(index);
 }
 
 std::uint32_t NetworkSimulator::PopFlit(Buffer& buffer) {
@@ -250,11 +244,13 @@ void NetworkSimulator::FlushDistributionMetrics() {
 bool NetworkSimulator::ArbitrateSwitch(std::size_t s) {
   const auto& inputs = inputs_at_switch_[s];
   if (inputs.empty()) return false;
-  // Rotate the input scan start each visit for fairness.
-  const std::size_t start = switch_rr_[s]++ % inputs.size();
+  // Rotate the input scan start once per arbitration phase for fairness.
+  // The phase count is global, so an unvisited switch rotates too.
+  const std::size_t n = inputs.size();
   bool pending = false;
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const std::size_t b = inputs[(start + i) % inputs.size()];
+  for (std::size_t i = 0, k = (cycle_ - reconfig_cycles_count_) % n; i < n;
+       ++i, k = k + 1 == n ? 0 : k + 1) {
+    const std::size_t b = inputs[k];
     Buffer& buffer = buffers_[b];
     if (!buffer.FrontReady() || buffer.granted_output != Buffer::kNone) continue;
     const std::uint32_t front = buffer.head;
@@ -270,7 +266,7 @@ bool NetworkSimulator::ArbitrateSwitch(std::size_t s) {
         port.owner = msg_id;
         port.source_buffer = b;
         buffer.granted_output = o;
-        if (event_mode_) delivery_active_.Add(m.dst_host);
+        delivery_active_.Add(m.dst_host);
       } else {
         pending = true;
       }
@@ -293,7 +289,7 @@ bool NetworkSimulator::ArbitrateSwitch(std::size_t s) {
       port.next_escape = cand.escape;
       buffer.granted_output = o;
       claimed = true;
-      if (event_mode_) channel_active_.Add(channel);
+      channel_active_.Add(channel);
       break;
     }
     if (!claimed) pending = true;
@@ -302,13 +298,7 @@ bool NetworkSimulator::ArbitrateSwitch(std::size_t s) {
 }
 
 void NetworkSimulator::ArbitratePhase() {
-  if (event_mode_) {
-    arb_switches_.Sweep([&](std::size_t s) { return ArbitrateSwitch(s); });
-  } else {
-    for (std::size_t s = 0; s < graph_->switch_count(); ++s) {
-      (void)ArbitrateSwitch(s);
-    }
-  }
+  arb_switches_.Sweep([&](std::size_t s) { return ArbitrateSwitch(s); });
 }
 
 bool NetworkSimulator::TryMoveThroughOutput(std::size_t o) {
@@ -363,56 +353,44 @@ bool NetworkSimulator::TryMoveThroughOutput(std::size_t o) {
     }
     pool_.Free(flit);
   }
-  if (event_mode_) {
-    // Credit wake: the pop freed a slot in `src`, so whatever feeds it may
-    // move again — the upstream output of a link buffer, or the host's
-    // injection for an injection buffer.
-    if (src_index < LinkVcCount()) {
-      if (outputs_[src_index].owner != OutputPort::kFree) {
-        channel_active_.Add(src_index / vc_count_);
-      }
-    } else {
-      const std::size_t h = src_index - LinkVcCount();
-      if (!source_queue_[h].empty()) inject_active_.Add(h);
+  // Credit wake: the pop freed a slot in `src`, so whatever feeds it may
+  // move again — the upstream output of a link buffer, or the host's
+  // injection for an injection buffer.
+  if (src_index < LinkVcCount()) {
+    if (outputs_[src_index].owner != OutputPort::kFree) {
+      channel_active_.Add(src_index / vc_count_);
     }
+  } else {
+    const std::size_t h = src_index - LinkVcCount();
+    if (!source_queue_[h].empty()) inject_active_.Add(h);
   }
   if (tail) {
     src.granted_output = Buffer::kNone;
     port.owner = OutputPort::kFree;
     port.source_buffer = kNone;
     // The next message's header (if already buffered) needs arbitration.
-    if (event_mode_ && src.ready > 0) arb_switches_.Add(switch_of_buffer_[src_index]);
+    if (src.ready > 0) arb_switches_.Add(switch_of_buffer_[src_index]);
   }
   return true;
 }
 
 bool NetworkSimulator::TransferChannel(std::size_t c) {
   // Physical link: one flit per cycle, round-robin among the VCs.
-  const std::size_t start = channel_rr_[c];
-  for (std::size_t k = 0; k < vc_count_; ++k) {
-    const std::size_t vc = (start + k) % vc_count_;
+  for (std::size_t k = 0, vc = channel_rr_[c]; k < vc_count_; ++k) {
+    const std::size_t next = vc + 1 == vc_count_ ? 0 : vc + 1;
     if (TryMoveThroughOutput(c * vc_count_ + vc)) {
-      channel_rr_[c] = (vc + 1) % vc_count_;
+      channel_rr_[c] = next;
       return true;
     }
+    vc = next;
   }
   return false;
 }
 
 void NetworkSimulator::TransferPhase() {
-  if (event_mode_) {
-    channel_active_.Sweep([&](std::size_t c) { return TransferChannel(c); });
-    delivery_active_.Sweep(
-        [&](std::size_t h) { return TryMoveThroughOutput(DeliveryPort(h)); });
-  } else {
-    for (std::size_t c = 0; c < ChannelCount(); ++c) {
-      (void)TransferChannel(c);
-    }
-    // Delivery ports: one flit per host per cycle.
-    for (std::size_t h = 0; h < graph_->host_count(); ++h) {
-      (void)TryMoveThroughOutput(DeliveryPort(h));
-    }
-  }
+  channel_active_.Sweep([&](std::size_t c) { return TransferChannel(c); });
+  // Delivery ports: one flit per host per cycle.
+  delivery_active_.Sweep([&](std::size_t h) { return TryMoveThroughOutput(DeliveryPort(h)); });
 }
 
 bool NetworkSimulator::InjectHost(std::size_t h) {
@@ -446,18 +424,12 @@ bool NetworkSimulator::InjectHost(std::size_t h) {
 }
 
 void NetworkSimulator::InjectPhase() {
-  if (event_mode_) {
-    inject_active_.Sweep([&](std::size_t h) { return InjectHost(h); });
-  } else {
-    for (std::size_t h = 0; h < source_queue_.size(); ++h) {
-      (void)InjectHost(h);
-    }
-  }
+  inject_active_.Sweep([&](std::size_t h) { return InjectHost(h); });
 }
 
 void NetworkSimulator::GenerateArrival(std::size_t h) {
   // A cut-off host (fault coverage zeroed its rate) discards the arrival;
-  // its stream keeps advancing identically in both exec modes.
+  // its stream keeps advancing regardless of the exec mode.
   if (inject_prob_[h] <= 0.0) return;
   Message m;
   m.src_host = h;
@@ -474,7 +446,7 @@ void NetworkSimulator::GenerateArrival(std::size_t h) {
   messages_.push_back(m);
   source_queue_[h].push_back(messages_.size() - 1);
   ++messages_enqueued_total_;
-  if (event_mode_) inject_active_.Add(h);
+  inject_active_.Add(h);
   if (measuring_) {
     ++messages_generated_measured_;
     generated_flits_measured_ += m.length;
@@ -488,8 +460,8 @@ void NetworkSimulator::ScheduleArrival(std::size_t h, std::size_t from_cycle) {
 }
 
 void NetworkSimulator::GeneratePhase() {
-  // Both engines pull arrivals off the same (cycle, host)-ordered queue, so
-  // message ids and arrival schedules are identical across exec modes.
+  // Both exec modes pull arrivals off the same (cycle, host)-ordered queue,
+  // so message ids and arrival schedules do not depend on the mode.
   while (!arrival_queue_.Empty() && arrival_queue_.NextCycle() <= cycle_) {
     const std::size_t h = arrival_queue_.Pop();
     GenerateArrival(h);
@@ -505,71 +477,55 @@ void NetworkSimulator::UpdateIdleState() {
     return;
   }
   if (flits_in_network_ > 0 && !any_movement_this_cycle_) {
-    if (++idle_cycles_ >= config_.deadlock_threshold_cycles && !deadlock_) {
-      deadlock_ = true;
-      if (obs::Tracer* tracer = obs::ActiveTracer()) {
-        tracer->Emit(obs::TraceEvent("net.deadlock")
-                         .F("cycle", cycle_)
-                         .F("in_flight_flits", flits_in_network_)
-                         .F("idle_cycles", idle_cycles_));
-      }
-    }
+    ++idle_cycles_;
+    CheckWatchdog();
   } else {
     idle_cycles_ = 0;
   }
 }
 
-void NetworkSimulator::FinalizeCycle() {
-  if (event_mode_) {
-    // Only buffers pushed into this cycle can have ready != size.
-    for (const std::size_t b : touched_buffers_) {
-      Buffer& buffer = buffers_[b];
-      buffer.ready = buffer.size;
-      if (buffer.granted_output == Buffer::kNone) {
-        if (buffer.ready > 0 && IsHeadFlit(buffer.head)) {
-          arb_switches_.Add(switch_of_buffer_[b]);
-        }
-      } else if (buffer.granted_output >= LinkVcCount()) {
-        delivery_active_.Add(buffer.granted_output - LinkVcCount());
-      } else {
-        channel_active_.Add(buffer.granted_output / vc_count_);
-      }
-    }
-    touched_buffers_.clear();
-    touched_set_.ClearAll();
-  } else {
-    for (Buffer& buffer : buffers_) {
-      buffer.ready = buffer.size;
-    }
+void NetworkSimulator::CheckWatchdog() {
+  if (idle_cycles_ < config_.deadlock_threshold_cycles || deadlock_) return;
+  deadlock_ = true;
+  if (obs::Tracer* tracer = obs::ActiveTracer()) {
+    tracer->Emit(obs::TraceEvent("net.deadlock")
+                     .F("cycle", cycle_)
+                     .F("in_flight_flits", flits_in_network_)
+                     .F("idle_cycles", idle_cycles_));
   }
+}
+
+void NetworkSimulator::FinalizeCycle() {
+  // Only buffers pushed into (or purged) this cycle can have ready != size.
+  touched_set_.Sweep([&](std::size_t b) {
+    Buffer& buffer = buffers_[b];
+    buffer.ready = buffer.size;
+    if (buffer.granted_output == Buffer::kNone) {
+      if (buffer.ready > 0 && IsHeadFlit(buffer.head)) {
+        arb_switches_.Add(switch_of_buffer_[b]);
+      }
+    } else if (buffer.granted_output >= LinkVcCount()) {
+      delivery_active_.Add(buffer.granted_output - LinkVcCount());
+    } else {
+      channel_active_.Add(buffer.granted_output / vc_count_);
+    }
+    return false;
+  });
   UpdateIdleState();
 }
 
-void NetworkSimulator::RebuildActiveSets() {
-  active_sets_stale_ = false;
-  arb_switches_.ClearAll();
-  channel_active_.ClearAll();
-  delivery_active_.ClearAll();
-  inject_active_.ClearAll();
-  for (std::size_t b = 0; b < buffers_.size(); ++b) {
-    const Buffer& buffer = buffers_[b];
-    if (buffer.size == 0 || buffer.granted_output != Buffer::kNone) continue;
-    if (IsHeadFlit(buffer.head)) arb_switches_.Add(switch_of_buffer_[b]);
-  }
-  for (std::size_t o = 0; o < LinkVcCount(); ++o) {
-    if (outputs_[o].owner != OutputPort::kFree) channel_active_.Add(o / vc_count_);
-  }
-  for (std::size_t h = 0; h < graph_->host_count(); ++h) {
-    if (outputs_[DeliveryPort(h)].owner != OutputPort::kFree) delivery_active_.Add(h);
-    if (!source_queue_[h].empty()) inject_active_.Add(h);
-  }
+void NetworkSimulator::ArmAllSets() {
+  arb_switches_.ArmAll();
+  channel_active_.ArmAll();
+  delivery_active_.ArmAll();
+  inject_active_.ArmAll();
 }
 
 void NetworkSimulator::SkipIdleSpan(std::size_t limit) {
   if (cycle_ >= limit) return;
-  // Reconfiguration downtime is counted cycle by cycle (reconfig_cycles
-  // must match the cycle engine exactly), and any active element means the
-  // next cycle has real work.
+  // Reconfiguration downtime is counted cycle by cycle (arbitration is
+  // frozen, so the rotation count depends on it), and any active element
+  // means the next cycle has real work.
   if (reconfiguring_) return;
   if (arb_switches_.Any() || channel_active_.Any() || delivery_active_.Any() ||
       inject_active_.Any()) {
@@ -588,7 +544,7 @@ void NetworkSimulator::SkipIdleSpan(std::size_t limit) {
   }
   if (obs::ActiveTracer() != nullptr) {
     // Land on every milestone/telemetry boundary so traced runs emit the
-    // same periodic events as the cycle engine.
+    // same periodic events as cycle mode.
     if (config_.trace_milestone_cycles > 0) {
       const std::size_t m = config_.trace_milestone_cycles;
       next = std::min(next, ((cycle_ + m - 1) / m) * m);
@@ -606,15 +562,7 @@ void NetworkSimulator::SkipIdleSpan(std::size_t limit) {
   ++skip_spans_;
   if (stuck) {
     idle_cycles_ += skipped;
-    if (idle_cycles_ >= config_.deadlock_threshold_cycles && !deadlock_) {
-      deadlock_ = true;
-      if (obs::Tracer* tracer = obs::ActiveTracer()) {
-        tracer->Emit(obs::TraceEvent("net.deadlock")
-                         .F("cycle", cycle_)
-                         .F("in_flight_flits", flits_in_network_)
-                         .F("idle_cycles", idle_cycles_));
-      }
-    }
+    CheckWatchdog();
   }
 }
 
@@ -668,10 +616,7 @@ void NetworkSimulator::PurgeLostMessages() {
       dropped_flits_ += purged;
       flits_in_network_ -= purged;
       buffer.ready = 0;
-      if (event_mode_ && !touched_set_.Contains(bi)) {
-        touched_set_.Add(bi);
-        touched_buffers_.push_back(bi);
-      }
+      touched_set_.Add(bi);
     }
   }
 
@@ -685,8 +630,9 @@ void NetworkSimulator::PurgeLostMessages() {
     std::erase_if(queue, [&](std::size_t msg) { return messages_[msg].lost; });
   }
 
-  // Incremental wake tracking can't survive an arbitrary purge.
-  active_sets_stale_ = true;
+  // Incremental wake tracking can't survive an arbitrary purge; visiting an
+  // idle element has no effect, so arming everything is always safe.
+  ArmAllSets();
 }
 
 void NetworkSimulator::DropDeadTraffic() {
@@ -806,7 +752,6 @@ void NetworkSimulator::CompleteReconfiguration() {
     inject_prob_[h] = covered_[graph_->SwitchOfHost(h)] ? base_inject_prob_[h] : 0.0;
   }
   PurgeLostMessages();
-  active_sets_stale_ = true;
 
   // Atomic swap: from the next arbitration on, every routing decision uses
   // the degraded function. The old policy is destroyed only after policy_
@@ -869,7 +814,8 @@ void NetworkSimulator::AdvanceFaultState() {
 void NetworkSimulator::StepCycle(std::size_t limit) {
   any_movement_this_cycle_ = false;
   if (view_ != nullptr) AdvanceFaultState();
-  if (event_mode_ && active_sets_stale_) RebuildActiveSets();
+  // Cycle mode is the dense schedule: every element is visited every cycle.
+  if (!event_mode_) ArmAllSets();
   // During the reconfiguration downtime no new output claims are made —
   // in-flight worms keep draining ("blocked VCs are drained") but no new
   // routing decisions happen until the swapped-in function is live.
@@ -954,7 +900,7 @@ SimMetrics NetworkSimulator::Run(double injection_flits_per_switch_cycle) {
       measuring_ = true;
       const std::size_t before = cycle_;
       StepCycle(horizon);
-      // The event engine may advance many cycles at once; skipped spans are
+      // Event mode may advance many cycles at once; skipped spans are
       // simulated time and count toward the measurement window.
       measured_cycles += cycle_ - before;
       maybe_milestone();

@@ -1,4 +1,4 @@
-// Flit-level wormhole network simulator with two execution engines.
+// Flit-level wormhole network simulator with two execution schedules.
 //
 // Model (per the paper's §5 evaluation methodology, after [8]):
 //   * input-buffered switches; every inter-switch link is two unidirectional
@@ -18,13 +18,14 @@
 //     claim comes from a VcRoutingPolicy (plain up*/down*, adaptive, or
 //     Duato fully-adaptive with an escape channel).
 //
-// SimConfig::exec_mode selects the engine. ExecMode::kCycle visits every
-// switch/channel/host each cycle; ExecMode::kEvent maintains active sets
-// and an arrival event queue so only elements with due work are visited and
-// idle spans are skipped in O(1). Both engines run the identical protocol on
-// identical arrival schedules; only the arbitration scan order may differ,
-// so cross-engine results agree statistically (tests/test_sim_equivalence)
-// while fault/arrival-determined counters agree exactly.
+// Every phase sweeps an active set (event_queue.h) in ascending index order.
+// SimConfig::exec_mode only decides how the sets are armed.
+// ExecMode::kCycle arms every switch/channel/host each cycle and never skips
+// time: the dense reference schedule. ExecMode::kEvent arms an element only
+// when a flit, credit, injection or fault gives it work, and skips idle spans
+// in O(1). Visiting an idle element has no effect, so the two schedules
+// produce identical results: every SimMetrics and SimTotals field matches
+// exactly (tests/test_sim_equivalence.cpp).
 //
 // Up*/down* routing is deadlock-free on a single virtual channel (see
 // routing/deadlock.h) and per-VC on many; a watchdog detects deadlock for
@@ -66,6 +67,8 @@ struct SimTotals {
   std::uint64_t messages_born_dead = 0;
   std::uint64_t messages_lost = 0;
   std::uint64_t pool_live = 0;
+
+  friend bool operator==(const SimTotals&, const SimTotals&) = default;
 };
 
 class NetworkSimulator {
@@ -145,8 +148,8 @@ class NetworkSimulator {
 
   void Init();
   void ResetState();
-  /// One simulation step. In cycle mode this is exactly one cycle; in event
-  /// mode it is one visited cycle plus any idle span skipped after it.
+  /// One simulation step: one cycle, plus (event mode only) any idle span
+  /// skipped after it.
   /// `limit` is the exclusive upper bound the skip may reach (phase end).
   void StepCycle(std::size_t limit);
   void ArbitratePhase();
@@ -155,13 +158,12 @@ class NetworkSimulator {
   void GeneratePhase();
   void FinalizeCycle();
 
-  // ---- per-element bodies shared by both engines -------------------------
+  // ---- per-element sweep bodies --------------------------------------------
   /// Arbitration at one switch; returns true while any ready, ungranted
-  /// header remains (event mode keeps the switch dirty to retry, matching
-  /// the cycle engine's per-cycle rescans).
+  /// header remains (the switch stays armed to retry next cycle).
   bool ArbitrateSwitch(std::size_t s);
   /// One flit over one physical channel (VC round-robin); returns true if a
-  /// flit moved (event mode keeps the channel active).
+  /// flit moved (the channel stays armed).
   bool TransferChannel(std::size_t c);
   /// One flit from host h's source queue into its injection buffer; returns
   /// true while the host can keep injecting next cycle.
@@ -172,17 +174,19 @@ class NetworkSimulator {
   /// Schedules host h's next arrival event (from its geometric stream).
   void ScheduleArrival(std::size_t h, std::size_t from_cycle);
 
-  // ---- event engine ------------------------------------------------------
+  // ---- scheduling ----------------------------------------------------------
   void PushFlit(Buffer& buffer, std::size_t index, std::uint32_t id);
   std::uint32_t PopFlit(Buffer& buffer);
-  /// Rebuilds every active set from the network state; used after fault
-  /// purges/reconfigurations invalidate incremental wake tracking.
-  void RebuildActiveSets();
+  /// Arms every element of every active set: the whole cycle-mode schedule,
+  /// and the event-mode answer to a purge that breaks incremental wakes.
+  void ArmAllSets();
   /// With no active element and no arrival due, jumps cycle_ forward to the
   /// next cycle anything can happen (arrival, fault, deadlock-watchdog
   /// expiry, trace boundary, `limit`), accounting skipped cycles as idle.
   void SkipIdleSpan(std::size_t limit);
   void UpdateIdleState();
+  /// Declares deadlock (once) when idle_cycles_ reaches the threshold.
+  void CheckWatchdog();
 
   // ---- degraded mode (ISSUE 3; active only when config.fault_plan) -------
   /// Applies every fault event due at the current cycle, drops traffic that
@@ -243,17 +247,14 @@ class NetworkSimulator {
   std::vector<std::deque<std::size_t>> source_queue_;  // message ids per host
   std::vector<std::size_t> source_flits_pushed_;       // of each host's head message
   std::vector<double> inject_prob_;                    // per host per cycle
-  std::vector<std::size_t> switch_rr_;                 // arbitration rotation per switch
   std::vector<std::size_t> channel_rr_;                // VC rotation per physical channel
 
-  // Active sets (event engine; empty/idle in cycle mode).
+  // Active sets: elements each phase sweeps (all of them in cycle mode).
   ActiveSet arb_switches_;     // switches with a ready, ungranted header
   ActiveSet channel_active_;   // physical channels that may move a flit
   ActiveSet delivery_active_;  // hosts whose delivery port may consume
   ActiveSet inject_active_;    // hosts that may push an injection flit
-  ActiveSet touched_set_;      // buffers pushed into this cycle...
-  std::vector<std::size_t> touched_buffers_;  // ...listed for FinalizeCycle
-  bool active_sets_stale_ = false;
+  ActiveSet touched_set_;      // buffers pushed into or purged this cycle
 
   std::size_t cycle_ = 0;
   bool measuring_ = false;

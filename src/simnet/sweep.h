@@ -21,10 +21,10 @@ struct SweepOptions {
   /// search engine's parallel_seeds (sched/engine.h): per-point RNG streams
   /// are derived up front, so parallel and sequential sweeps are identical.
   bool parallel = true;
-  /// Independent seeded runs per sweep point (for confidence intervals; see
-  /// tests/stat_util.h). Replicate 0 uses the same stream as a
-  /// seed_replicates == 1 sweep, so existing results are unchanged; all
-  /// points x replicates share one parallel work list.
+  /// Independent seeded runs per sweep point (for confidence intervals).
+  /// Replicate 0 uses the same stream as a seed_replicates == 1 sweep, so
+  /// existing results are unchanged; all points x replicates share one
+  /// parallel work list.
   std::size_t seed_replicates = 1;
   SimConfig config;
 };

@@ -128,6 +128,35 @@ TEST(CliTrace, SimulateEmitsSimAndSweepEvents) {
   EXPECT_GT(testutil::JsonUint(counters, "sim.cycles"), 0u);
 }
 
+// Both execution schedules produce identical runs, so `simulate` must print
+// byte-identical output under --sim-mode cycle and --sim-mode event; the
+// second run adds two VCs and a mid-run link fault.
+TEST(CliSimMode, CycleAndEventPrintIdenticalStdout) {
+  const std::string dir = ::testing::TempDir();
+  const std::string plan_path = dir + "cli_sim_mode_plan.json";
+  {
+    std::ofstream plan(plan_path);
+    plan << R"({"events": [{"at": 900, "kind": "link_down", "a": 0, "b": 1},)"
+         << R"( {"at": 1600, "kind": "link_up", "a": 0, "b": 1}]})";
+  }
+  const std::vector<std::string> runs = {
+      "simulate --kind random --switches 16 --apps 4 --mapping op --points 4 "
+      "--min-rate 0.05 --max-rate 1.4 --warmup 500 --measure 2000",
+      "simulate --kind rings --apps 4 --mapping op --points 3 --vcs 2 --warmup 500 "
+      "--measure 2000 --reconfig-downtime 64 --fault-plan " +
+          plan_path,
+  };
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    const std::string cycle_path = dir + "cli_sim_mode_cycle" + std::to_string(k) + ".txt";
+    const std::string event_path = dir + "cli_sim_mode_event" + std::to_string(k) + ".txt";
+    ASSERT_EQ(RunCli(runs[k] + " --sim-mode cycle", cycle_path), 0) << runs[k];
+    ASSERT_EQ(RunCli(runs[k] + " --sim-mode event", event_path), 0) << runs[k];
+    const std::string cycle = ReadFile(cycle_path);
+    EXPECT_NE(cycle.find("throughput:"), std::string::npos) << cycle;
+    EXPECT_EQ(cycle, ReadFile(event_path)) << runs[k];
+  }
+}
+
 // The full observability round-trip on the ISSUE acceptance scenario: a
 // seeded 16-switch simulate run producing a JSONL trace + metrics dump +
 // Chrome trace, then `report` consuming the first two. The report must show

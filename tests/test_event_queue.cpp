@@ -1,5 +1,5 @@
-// Property tests for the event-engine primitives (ISSUE 6 satellite):
-// EventQueue ordering, ActiveSet sweep semantics, FlitPool double-free
+// Property tests for the simulator's scheduling primitives: EventQueue
+// ordering, ActiveSet sweep and ArmAll semantics, FlitPool double-free
 // detection, GeometricGap distribution, and whole-run flit conservation
 // in both execution modes (with and without fault plans).
 #include <gtest/gtest.h>
@@ -122,6 +122,54 @@ TEST(ActiveSet, SweepSeesForwardActivationsSameSweepOnce) {
   // The backward activation survived the sweep.
   EXPECT_TRUE(set.Contains(3));
   EXPECT_EQ(set.Count(), 1u);
+}
+
+TEST(ActiveSet, SweepSkipsBitArmedBehindCursorInSameWord) {
+  // Index 3 was never active in this sweep; arming it from index 10 (same
+  // 64-bit word, behind the cursor) must defer it to the next sweep, as an
+  // ascending loop that has already passed index 3 would.
+  ActiveSet set;
+  set.Reset(64);
+  set.Add(10);
+  std::vector<std::size_t> visited;
+  set.Sweep([&](std::size_t i) {
+    visited.push_back(i);
+    if (i == 10) set.Add(3);
+    return false;
+  });
+  EXPECT_EQ(visited, (std::vector<std::size_t>{10}));
+  EXPECT_TRUE(set.Contains(3));
+  EXPECT_EQ(set.Count(), 1u);
+
+  visited.clear();
+  set.Sweep([&](std::size_t i) {
+    visited.push_back(i);
+    return false;
+  });
+  EXPECT_EQ(visited, (std::vector<std::size_t>{3}));
+}
+
+TEST(ActiveSet, ArmAllSetsExactlyNBits) {
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 130u}) {
+    ActiveSet set;
+    set.Reset(n);
+    set.Add(0);
+    set.ArmAll();
+    EXPECT_EQ(set.Count(), n) << "n " << n;
+    std::vector<std::size_t> visited;
+    set.Sweep([&](std::size_t i) {
+      visited.push_back(i);
+      return i + 1 == n;  // keep only the last index
+    });
+    ASSERT_EQ(visited.size(), n) << "n " << n;
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(visited[i], i) << "n " << n;
+    EXPECT_EQ(set.Count(), 1u) << "n " << n;
+    EXPECT_TRUE(set.Contains(n - 1)) << "n " << n;
+  }
+  ActiveSet empty;
+  empty.Reset(0);
+  empty.ArmAll();
+  EXPECT_FALSE(empty.Any());
 }
 
 // ---- FlitPool ------------------------------------------------------------

@@ -1,22 +1,22 @@
-// ISSUE 6 headline: differential testing of the two execution engines.
+// Differential test of the simulator's two execution schedules.
 //
-// The event engine deliberately diverges from the cycle engine in
-// arbitration *visit order* (round-robin pointers advance per visit, not per
-// cycle), so per-run outputs are statistically — not bitwise — equivalent.
-// Golden-value comparison is therefore impossible; instead:
-//   * statistical equivalence: both engines across many seeds, latency and
-//     throughput compared with Welch CIs and a KS bound (tests/stat_util.h);
-//   * exact equivalence where determinism is guaranteed: arrival schedules
-//     are shared (simnet/arrivals.h), so fault counters whose value depends
-//     only on the arrival schedule must match exactly — checked by replaying
-//     the fault plans under tests/data through both engines;
-//   * termination agreement: for drained (non-deadlocked) runs both engines
-//     stop at the same cycle, and both watchdogs fire on true deadlocks.
-#include "stat_util.h"
-
+// Every phase sweeps the same active sets in ascending index order.
+// ExecMode::kCycle arms every element each cycle and never skips time (the
+// dense reference schedule); ExecMode::kEvent arms only elements with due
+// work and skips idle spans. Visiting an idle element has no effect, so the
+// two schedules must agree exactly: every SimMetrics field and every
+// SimTotals field of a cycle-mode run equals the same run in event mode.
+//
+// The grid covers irregular 16/24/32-switch nets and four-rings-of-six,
+// loads from 0.05 to 1.4 (past saturation), 1-3 virtual channels,
+// deterministic, adaptive and Duato routing, mid-run link and switch faults
+// with 0 and 64 cycles of reconfiguration downtime, the checked-in fault
+// plans under tests/data, drained-run termination, and a real deadlock of
+// shortest-path routing on a 1-VC ring.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -34,9 +34,6 @@
 
 namespace commsched::sim {
 namespace {
-
-using ::commsched::testing::DistributionsEquivalent;
-using ::commsched::testing::MeansEquivalent;
 
 struct Fixture {
   topo::SwitchGraph graph;
@@ -68,68 +65,202 @@ SimConfig HarnessConfig(ExecMode mode, std::uint64_t seed) {
   return config;
 }
 
-struct SeedSamples {
-  std::vector<double> latency;
-  std::vector<double> accepted;
+struct Outcome {
+  SimMetrics metrics;
+  SimTotals totals;
 };
 
-SeedSamples RunSeeds(const Fixture& f, ExecMode mode, double rate, std::size_t seeds) {
-  SeedSamples out;
-  for (std::uint64_t s = 1; s <= seeds; ++s) {
-    NetworkSimulator sim(f.graph, f.routing, f.pattern, HarnessConfig(mode, s));
-    const SimMetrics m = sim.Run(rate);
-    out.latency.push_back(m.avg_latency_cycles);
-    out.accepted.push_back(m.accepted_flits_per_switch_cycle);
-  }
-  return out;
+Outcome RunOnce(NetworkSimulator& sim, double rate) {
+  Outcome outcome;
+  outcome.metrics = sim.Run(rate);
+  outcome.totals = sim.Totals();
+  return outcome;
 }
 
-/// The statistical-equivalence contract (DESIGN.md §11): across seeds, both
-/// engines' per-seed mean latencies and accepted rates must agree in a
-/// Welch CI (alpha = 0.01, small application margin for genuine arbitration
-/// divergence) and pass the KS bound as whole distributions.
-void ExpectStatisticallyEquivalent(const Fixture& f, double rate, std::size_t seeds) {
-  const SeedSamples cycle = RunSeeds(f, ExecMode::kCycle, rate, seeds);
-  const SeedSamples event = RunSeeds(f, ExecMode::kEvent, rate, seeds);
+Outcome RunMode(const Fixture& f, SimConfig config, ExecMode mode, double rate) {
+  config.exec_mode = mode;
+  NetworkSimulator sim(f.graph, f.routing, f.pattern, config);
+  return RunOnce(sim, rate);
+}
 
-  const double mean_latency =
-      ::commsched::testing::Summarize(cycle.latency).mean;
-  EXPECT_TRUE(MeansEquivalent(cycle.latency, event.latency, 0.01,
-                              std::max(1.0, 0.02 * mean_latency)))
-      << "mean latency diverged at rate " << rate;
-  EXPECT_TRUE(MeansEquivalent(cycle.accepted, event.accepted, 0.01,
-                              std::max(0.002, 0.02 * rate)))
-      << "accepted traffic diverged at rate " << rate;
-  // Whole-distribution agreement over the per-seed samples; margin 0.1 CDF
-  // units on top of the KS bound keeps false positives negligible at this
-  // sample size without masking a real shift.
-  EXPECT_TRUE(DistributionsEquivalent(cycle.latency, event.latency, 0.01, 0.1))
-      << "latency distribution diverged at rate " << rate;
-  EXPECT_TRUE(DistributionsEquivalent(cycle.accepted, event.accepted, 0.01, 0.1))
-      << "accepted distribution diverged at rate " << rate;
+/// Every SimMetrics and SimTotals field must be equal; doubles too, since
+/// both schedules perform the same arithmetic in the same order.
+void ExpectIdentical(const Outcome& cycle, const Outcome& event, const std::string& where) {
+  SCOPED_TRACE(where);
+  const SimMetrics& a = cycle.metrics;
+  const SimMetrics& b = event.metrics;
+  EXPECT_EQ(a.offered_flits_per_switch_cycle, b.offered_flits_per_switch_cycle);
+  EXPECT_EQ(a.accepted_flits_per_switch_cycle, b.accepted_flits_per_switch_cycle);
+  EXPECT_EQ(a.avg_latency_cycles, b.avg_latency_cycles);
+  EXPECT_EQ(a.avg_total_latency_cycles, b.avg_total_latency_cycles);
+  EXPECT_EQ(a.p50_latency_cycles, b.p50_latency_cycles);
+  EXPECT_EQ(a.p95_latency_cycles, b.p95_latency_cycles);
+  EXPECT_EQ(a.p99_latency_cycles, b.p99_latency_cycles);
+  EXPECT_EQ(a.max_latency_cycles, b.max_latency_cycles);
+  EXPECT_EQ(a.messages_generated, b.messages_generated);
+  EXPECT_EQ(a.messages_delivered, b.messages_delivered);
+  EXPECT_EQ(a.flits_delivered, b.flits_delivered);
+  EXPECT_EQ(a.simulated_cycles, b.simulated_cycles);
+  EXPECT_EQ(a.source_queue_growth, b.source_queue_growth);
+  EXPECT_EQ(a.max_link_utilization, b.max_link_utilization);
+  EXPECT_EQ(a.avg_link_utilization, b.avg_link_utilization);
+  EXPECT_EQ(a.deadlock_detected, b.deadlock_detected);
+  EXPECT_EQ(a.fault_events_applied, b.fault_events_applied);
+  EXPECT_EQ(a.dropped_flits, b.dropped_flits);
+  EXPECT_EQ(a.messages_lost, b.messages_lost);
+  EXPECT_EQ(a.reconfig_cycles, b.reconfig_cycles);
+  EXPECT_EQ(a.switch_pair_flit_rate, b.switch_pair_flit_rate);
+  ASSERT_EQ(a.per_app.size(), b.per_app.size());
+  for (std::size_t app = 0; app < a.per_app.size(); ++app) {
+    EXPECT_EQ(a.per_app[app].messages_delivered, b.per_app[app].messages_delivered) << app;
+    EXPECT_EQ(a.per_app[app].flits_delivered, b.per_app[app].flits_delivered) << app;
+    EXPECT_EQ(a.per_app[app].avg_latency_cycles, b.per_app[app].avg_latency_cycles) << app;
+  }
+  // The defaulted operator== also covers any field added after this list.
+  EXPECT_TRUE(a == b);
+
+  const SimTotals& x = cycle.totals;
+  const SimTotals& y = event.totals;
+  EXPECT_EQ(x.flits_injected, y.flits_injected);
+  EXPECT_EQ(x.flits_delivered, y.flits_delivered);
+  EXPECT_EQ(x.flits_dropped, y.flits_dropped);
+  EXPECT_EQ(x.flits_in_network, y.flits_in_network);
+  EXPECT_EQ(x.messages_enqueued, y.messages_enqueued);
+  EXPECT_EQ(x.messages_born_dead, y.messages_born_dead);
+  EXPECT_EQ(x.messages_lost, y.messages_lost);
+  EXPECT_EQ(x.pool_live, y.pool_live);
+  EXPECT_TRUE(x == y);
+}
+
+void ExpectModesIdentical(const Fixture& f, const SimConfig& config, double rate,
+                          const std::string& where) {
+  ExpectIdentical(RunMode(f, config, ExecMode::kCycle, rate),
+                  RunMode(f, config, ExecMode::kEvent, rate), where);
+}
+
+void ExpectSeedsIdentical(const Fixture& f, double rate, std::uint64_t seeds) {
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+    ExpectModesIdentical(f, HarnessConfig(ExecMode::kCycle, seed), rate,
+                         "seed " + std::to_string(seed));
+  }
+}
+
+/// Loads x VCs x deterministic/adaptive, with the traffic matrix on so
+/// switch_pair_flit_rate is compared too.
+void ExpectGridIdentical(const Fixture& f) {
+  for (const double rate : {0.05, 0.3, 0.7, 1.4}) {
+    for (const std::size_t vcs : {1u, 2u, 3u}) {
+      for (const bool adaptive : {false, true}) {
+        SimConfig config;
+        config.warmup_cycles = 300;
+        config.measure_cycles = 900;
+        config.virtual_channels = vcs;
+        config.adaptive_routing = adaptive;
+        config.collect_traffic_matrix = true;
+        config.rng_seed = 7;
+        ExpectModesIdentical(f, config, rate,
+                             "rate " + std::to_string(rate) + " vcs " + std::to_string(vcs) +
+                                 (adaptive ? " adaptive" : " deterministic"));
+      }
+    }
+  }
 }
 
 TEST(SimEquivalence, IrregularTopologyLowLoad) {
   const Fixture f(topo::GenerateIrregularTopology({16, 4, 3, 1, 1000}));
-  ExpectStatisticallyEquivalent(f, 0.08, 24);
+  ExpectSeedsIdentical(f, 0.08, 8);
 }
 
 TEST(SimEquivalence, IrregularTopologyModerateLoad) {
   const Fixture f(topo::GenerateIrregularTopology({16, 4, 3, 1, 1000}));
-  ExpectStatisticallyEquivalent(f, 0.45, 24);
+  ExpectSeedsIdentical(f, 0.45, 8);
 }
 
 TEST(SimEquivalence, RingsTopologyLowLoad) {
   const Fixture f(topo::MakeFourRingsOfSix());
-  ExpectStatisticallyEquivalent(f, 0.08, 24);
+  ExpectSeedsIdentical(f, 0.08, 8);
 }
 
 TEST(SimEquivalence, RingsTopologyModerateLoad) {
   const Fixture f(topo::MakeFourRingsOfSix());
-  ExpectStatisticallyEquivalent(f, 0.45, 24);
+  ExpectSeedsIdentical(f, 0.45, 8);
 }
 
-// ---- exact differential replay of checked-in fault plans -----------------
+TEST(SimEquivalence, Irregular16GridMatchesExactly) {
+  ExpectGridIdentical(Fixture(topo::GenerateIrregularTopology({16, 4, 3, 1, 1000})));
+}
+
+TEST(SimEquivalence, Irregular24GridMatchesExactly) {
+  ExpectGridIdentical(Fixture(topo::GenerateIrregularTopology({24, 4, 3, 2, 1000}), 2));
+}
+
+TEST(SimEquivalence, Irregular32GridMatchesExactly) {
+  ExpectGridIdentical(Fixture(topo::GenerateIrregularTopology({32, 4, 3, 3, 1000}), 3));
+}
+
+TEST(SimEquivalence, RingsGridMatchesExactly) {
+  ExpectGridIdentical(Fixture(topo::MakeFourRingsOfSix(), 4));
+}
+
+// Duato fully-adaptive routing goes through the explicit-policy
+// constructor: escape commitments and multi-VC candidates.
+TEST(SimEquivalence, DuatoPolicyMatchesExactly) {
+  const Fixture f(topo::GenerateIrregularTopology({24, 4, 3, 2, 1000}), 2);
+  for (const std::size_t vcs : {2u, 3u}) {
+    const DuatoFullyAdaptivePolicy policy(f.graph, vcs);
+    for (const double rate : {0.1, 0.6, 1.4}) {
+      SimConfig config;
+      config.warmup_cycles = 400;
+      config.measure_cycles = 1200;
+      config.virtual_channels = vcs;
+      Outcome outcome[2];
+      int i = 0;
+      for (const ExecMode mode : {ExecMode::kCycle, ExecMode::kEvent}) {
+        config.exec_mode = mode;
+        NetworkSimulator sim(f.graph, policy, f.pattern, config);
+        outcome[i++] = RunOnce(sim, rate);
+      }
+      ExpectIdentical(outcome[0], outcome[1],
+                      "vcs " + std::to_string(vcs) + " rate " + std::to_string(rate));
+    }
+  }
+}
+
+// Faults strike a loaded network: purges, reconfiguration windows and the
+// routing swap must leave both schedules in the same state.
+TEST(SimEquivalence, MidRunFaultGridMatchesExactly) {
+  const Fixture rings(topo::MakeFourRingsOfSix());
+  const Fixture irregular(topo::GenerateIrregularTopology({24, 4, 3, 2, 1000}), 2);
+  for (const Fixture* f : {&rings, &irregular}) {
+    const topo::Link link = f->graph.link(0);
+    const faults::FaultPlan link_plan = faults::FaultPlan::FromEvents(
+        {{500, faults::FaultKind::kLinkDown, link.a, link.b, 0},
+         {900, faults::FaultKind::kLinkUp, link.a, link.b, 0}});
+    const faults::FaultPlan switch_plan =
+        faults::FaultPlan::FromEvents({{700, faults::FaultKind::kSwitchDown, 0, 0, 3}});
+    for (const faults::FaultPlan* plan : {&link_plan, &switch_plan}) {
+      for (const std::size_t downtime : {0u, 64u}) {
+        for (const std::size_t vcs : {1u, 2u}) {
+          for (const double rate : {0.2, 0.8}) {
+            SimConfig config;
+            config.warmup_cycles = 300;
+            config.measure_cycles = 900;
+            config.virtual_channels = vcs;
+            config.fault_plan = plan;
+            config.reconfig_downtime_cycles = downtime;
+            ExpectModesIdentical(*f, config, rate,
+                                 std::string(f == &rings ? "rings" : "irregular24") +
+                                     (plan == &link_plan ? " link" : " switch") +
+                                     " downtime " + std::to_string(downtime) + " vcs " +
+                                     std::to_string(vcs) + " rate " + std::to_string(rate));
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---- checked-in fault plans -----------------------------------------------
 
 std::string ReadDataFile(const std::string& name) {
   const std::string path = std::string(COMMSCHED_TEST_DATA_DIR) + "/" + name;
@@ -140,88 +271,71 @@ std::string ReadDataFile(const std::string& name) {
   return out.str();
 }
 
-struct FaultOutcome {
-  SimMetrics metrics;
-  SimTotals totals;
-};
-
-FaultOutcome ReplayPlan(const Fixture& f, const faults::FaultPlan& plan, ExecMode mode,
-                        double rate) {
+Outcome ReplayPlan(const Fixture& f, const faults::FaultPlan& plan, ExecMode mode, double rate) {
   SimConfig config;
-  config.exec_mode = mode;
   config.warmup_cycles = 1200;
   config.measure_cycles = 3000;
   config.fault_plan = &plan;
-  NetworkSimulator sim(f.graph, f.routing, f.pattern, config);
-  FaultOutcome outcome;
-  outcome.metrics = sim.Run(rate);
-  outcome.totals = sim.Totals();
-  return outcome;
+  return RunMode(f, config, mode, rate);
 }
 
-// A switch dies at cycle 1, before anything is in flight: every lost
-// message is determined by the shared arrival schedule alone (queued
-// messages to the dead switch at fault time + born-dead arrivals after),
-// so both engines must report identical losses — not just similar ones.
+// A switch dies at cycle 1, before anything is in flight.
 TEST(SimEquivalence, SwitchDownPlanMatchesExactly) {
   const Fixture f(topo::MakeFourRingsOfSix());
   const auto plan = faults::FaultPlan::FromJson(ReadDataFile("faultplan_diff_switch.json"));
   plan.ValidateFor(f.graph);
-  const FaultOutcome cycle = ReplayPlan(f, plan, ExecMode::kCycle, 0.25);
-  const FaultOutcome event = ReplayPlan(f, plan, ExecMode::kEvent, 0.25);
+  const Outcome cycle = ReplayPlan(f, plan, ExecMode::kCycle, 0.25);
+  const Outcome event = ReplayPlan(f, plan, ExecMode::kEvent, 0.25);
 
   EXPECT_EQ(cycle.metrics.fault_events_applied, 1u);
-  EXPECT_EQ(event.metrics.fault_events_applied, cycle.metrics.fault_events_applied);
-  EXPECT_EQ(event.metrics.messages_lost, cycle.metrics.messages_lost);
   EXPECT_GT(cycle.metrics.messages_lost, 0u);  // the check must bite
-  EXPECT_EQ(event.metrics.reconfig_cycles, cycle.metrics.reconfig_cycles);
   EXPECT_EQ(cycle.metrics.reconfig_cycles, 128u);  // default downtime window
-  EXPECT_EQ(event.metrics.simulated_cycles, cycle.metrics.simulated_cycles);
-  EXPECT_EQ(event.totals.messages_born_dead, cycle.totals.messages_born_dead);
-  EXPECT_EQ(event.totals.messages_enqueued, cycle.totals.messages_enqueued);
+  ExpectIdentical(cycle, event, "faultplan_diff_switch.json");
 }
 
 // Two redundant ring links die at cycle 1: the surviving graph stays
-// connected and nothing was in flight, so no engine may lose anything.
+// connected and nothing was in flight, so no schedule may lose anything.
 TEST(SimEquivalence, RedundantLinksPlanLosesNothingInBothModes) {
   const Fixture f(topo::MakeFourRingsOfSix());
   const auto plan = faults::FaultPlan::FromJson(ReadDataFile("faultplan_diff_links.json"));
   plan.ValidateFor(f.graph);
-  const FaultOutcome cycle = ReplayPlan(f, plan, ExecMode::kCycle, 0.2);
-  const FaultOutcome event = ReplayPlan(f, plan, ExecMode::kEvent, 0.2);
+  const Outcome cycle = ReplayPlan(f, plan, ExecMode::kCycle, 0.2);
+  const Outcome event = ReplayPlan(f, plan, ExecMode::kEvent, 0.2);
 
-  for (const FaultOutcome* o : {&cycle, &event}) {
+  for (const Outcome* o : {&cycle, &event}) {
     EXPECT_EQ(o->metrics.fault_events_applied, 2u);
     EXPECT_EQ(o->metrics.messages_lost, 0u);
     EXPECT_EQ(o->metrics.dropped_flits, 0u);
     EXPECT_EQ(o->metrics.reconfig_cycles, 128u);
   }
-  EXPECT_EQ(event.metrics.simulated_cycles, cycle.metrics.simulated_cycles);
-  EXPECT_EQ(event.totals.messages_enqueued, cycle.totals.messages_enqueued);
+  ExpectIdentical(cycle, event, "faultplan_diff_links.json");
 }
 
-// Mid-run faults hit a loaded network, so in-flight losses depend on
-// arbitration order and may legitimately differ — but the event counters
-// and the downtime accounting are still schedule-determined.
+// A link dies under load and comes back: in-flight losses depend on the
+// exact flit interleaving, so equal loss counts show the schedules agree.
 TEST(SimEquivalence, MidRunFaultCountersMatch) {
   const Fixture f(topo::MakeFourRingsOfSix());
   const auto plan = faults::FaultPlan::FromEvents(
       {{1500, faults::FaultKind::kLinkDown, 0, 1, 0},
        {2600, faults::FaultKind::kLinkUp, 0, 1, 0}});
-  const FaultOutcome cycle = ReplayPlan(f, plan, ExecMode::kCycle, 0.2);
-  const FaultOutcome event = ReplayPlan(f, plan, ExecMode::kEvent, 0.2);
+  const Outcome cycle = ReplayPlan(f, plan, ExecMode::kCycle, 0.2);
+  const Outcome event = ReplayPlan(f, plan, ExecMode::kEvent, 0.2);
 
   EXPECT_EQ(cycle.metrics.fault_events_applied, 2u);
   EXPECT_EQ(event.metrics.fault_events_applied, 2u);
   EXPECT_EQ(event.metrics.reconfig_cycles, cycle.metrics.reconfig_cycles);
   EXPECT_EQ(event.metrics.simulated_cycles, cycle.metrics.simulated_cycles);
+  EXPECT_EQ(event.metrics.messages_lost, cycle.metrics.messages_lost);
+  EXPECT_EQ(event.metrics.dropped_flits, cycle.metrics.dropped_flits);
+  EXPECT_EQ(event.totals.messages_lost, cycle.totals.messages_lost);
+  EXPECT_EQ(event.totals.flits_dropped, cycle.totals.flits_dropped);
 }
 
-// ---- termination agreement (idle-detection satellite) --------------------
+// ---- termination ------------------------------------------------------------
 
 // A drained run (no deadlock) terminates at warmup + measure in both
-// engines: the event engine's skipped spans count as simulated cycles, and
-// an emptied event queue must not stop the clock early.
+// schedules: skipped spans count as simulated cycles, and an emptied event
+// queue must not stop the clock early.
 TEST(SimEquivalence, DrainedRunsTerminateAtTheSameCycle) {
   const Fixture f(topo::GenerateIrregularTopology({16, 4, 3, 1, 1000}));
   for (const double rate : {0.0, 0.05, 0.4}) {
@@ -235,22 +349,22 @@ TEST(SimEquivalence, DrainedRunsTerminateAtTheSameCycle) {
     ASSERT_FALSE(by_mode[1].deadlock_detected);
     EXPECT_EQ(by_mode[0].simulated_cycles, 800u + 2500u) << "rate " << rate;
     EXPECT_EQ(by_mode[1].simulated_cycles, by_mode[0].simulated_cycles)
-        << "engines disagree on the termination cycle at rate " << rate;
+        << "schedules disagree on the termination cycle at rate " << rate;
   }
 }
 
 // Shortest-path routing on a ring is not deadlock-free under wormhole with
-// one virtual channel. Whether a full stall forms is arbitration-dependent
-// (the engines arbitrate in different orders), so each mode must either
-// detect deadlock or saturate — and a detected deadlock must stop the run
-// early instead of grinding through the full horizon.
+// one virtual channel. Both watchdogs must fire, at the same cycle, well
+// before the horizon; the skipped idle span counts toward the threshold.
 TEST(SimEquivalence, BothWatchdogsDetectRealDeadlock) {
-  const auto graph = topo::MakeRing(6, 4);
+  const auto graph = topo::MakeRing(8, 4);
   const route::ShortestPathRouting routing(graph);
-  const auto workload = work::Workload::Uniform(2, 12);
+  const auto workload = work::Workload::Uniform(2, 16);
   Rng rng(3);
   const auto mapping = work::ProcessMapping::RandomAligned(graph, workload, rng);
   const TrafficPattern pattern(graph, workload, mapping);
+  Outcome outcome[2];
+  int i = 0;
   for (const ExecMode mode : {ExecMode::kCycle, ExecMode::kEvent}) {
     SimConfig config;
     config.exec_mode = mode;
@@ -259,17 +373,15 @@ TEST(SimEquivalence, BothWatchdogsDetectRealDeadlock) {
     config.warmup_cycles = 4000;
     config.measure_cycles = 12000;
     config.deadlock_threshold_cycles = 1000;
+    config.rng_seed = 3;
     NetworkSimulator sim(graph, routing, pattern, config);
-    const SimMetrics m = sim.Run(1.6);
-    EXPECT_TRUE(m.deadlock_detected || m.Saturated())
-        << (mode == ExecMode::kCycle ? "cycle" : "event")
-        << " neither deadlocked nor saturated";
-    if (m.deadlock_detected) {
-      EXPECT_LT(m.simulated_cycles, 16000u);
-    } else {
-      EXPECT_EQ(m.simulated_cycles, 16000u);
-    }
+    outcome[i++] = RunOnce(sim, 1.6);
   }
+  EXPECT_TRUE(outcome[0].metrics.deadlock_detected);
+  EXPECT_LT(outcome[0].metrics.simulated_cycles, 16000u);
+  EXPECT_EQ(outcome[1].metrics.simulated_cycles, outcome[0].metrics.simulated_cycles)
+      << "watchdogs fired at different cycles";
+  ExpectIdentical(outcome[0], outcome[1], "ring deadlock");
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "routing/updown.h"
 #include "topology/generator.h"
 
@@ -121,23 +123,30 @@ TEST(Sweep, SeedReplicatesAreIndependentAndStable) {
   }
 }
 
-TEST(Sweep, EventModeSweepMatchesCycleThroughputShape) {
+TEST(Sweep, EventModeSweepMatchesCycleExactly) {
+  // The two execution schedules produce identical runs, so whole sweeps —
+  // every point and every seed replicate — must be identical too.
   const Fixture f;
-  SweepOptions cycle = FastSweep();
-  SweepOptions event = FastSweep();
-  event.config.exec_mode = ExecMode::kEvent;
-  const SweepResult a = RunLoadSweep(f.graph, f.routing, f.pattern, cycle);
-  const SweepResult b = RunLoadSweep(f.graph, f.routing, f.pattern, event);
-  ASSERT_EQ(a.points.size(), b.points.size());
-  for (std::size_t k = 0; k < a.points.size(); ++k) {
-    // Same arrival schedules, different arbitration interleavings: accepted
-    // rates stay within a few percent at sub-saturation points.
-    if (!a.points[k].metrics.Saturated()) {
-      EXPECT_NEAR(a.points[k].metrics.accepted_flits_per_switch_cycle,
-                  b.points[k].metrics.accepted_flits_per_switch_cycle,
-                  0.05 * std::max(0.1, a.points[k].metrics.accepted_flits_per_switch_cycle))
-          << "point " << k;
+  for (const std::size_t replicates : {1u, 3u}) {
+    SweepOptions cycle = FastSweep();
+    cycle.seed_replicates = replicates;
+    SweepOptions event = cycle;
+    event.config.exec_mode = ExecMode::kEvent;
+    const SweepResult a = RunLoadSweep(f.graph, f.routing, f.pattern, cycle);
+    const SweepResult b = RunLoadSweep(f.graph, f.routing, f.pattern, event);
+    ASSERT_EQ(a.points.size(), b.points.size());
+    for (std::size_t k = 0; k < a.points.size(); ++k) {
+      SCOPED_TRACE("replicates " + std::to_string(replicates) + " point " + std::to_string(k));
+      EXPECT_EQ(a.points[k].offered_rate, b.points[k].offered_rate);
+      EXPECT_EQ(a.points[k].metrics.flits_delivered, b.points[k].metrics.flits_delivered);
+      EXPECT_EQ(a.points[k].metrics.avg_latency_cycles, b.points[k].metrics.avg_latency_cycles);
+      EXPECT_TRUE(a.points[k].metrics == b.points[k].metrics);
+      ASSERT_EQ(a.points[k].replicates.size(), replicates);
+      EXPECT_TRUE(a.points[k].replicates == b.points[k].replicates);
     }
+    EXPECT_EQ(a.Throughput(), b.Throughput());
+    EXPECT_EQ(a.LowLoadLatency(), b.LowLoadLatency());
+    EXPECT_EQ(a.SaturationRate(), b.SaturationRate());
   }
 }
 

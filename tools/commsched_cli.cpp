@@ -227,9 +227,9 @@ int CmdSchedule(const Args& args) {
   return 0;
 }
 
-/// --sim-mode cycle|event selects the simulation engine (simnet/config.h);
-/// results are statistically equivalent, event mode is much faster at low
-/// load. See DESIGN.md section 11.
+/// --sim-mode cycle|event selects the simulation schedule (simnet/config.h);
+/// results are identical, event mode is much faster at low load. See
+/// DESIGN.md section 11.
 sim::ExecMode ParseSimMode(const Args& args) {
   const std::string mode = args.Get("sim-mode", "cycle");
   if (mode == "cycle") return sim::ExecMode::kCycle;
@@ -684,8 +684,8 @@ int Usage() {
       "  simulate   load sweep for a mapping (--mapping op|random|blocked,\n"
       "             --parallel-seeds for the op search, --vcs V,\n"
       "             --adaptive, --duato, --points P, --max-rate R,\n"
-      "             --sim-mode cycle|event selects the execution engine\n"
-      "             (statistically equivalent; event skips idle cycles),\n"
+      "             --sim-mode cycle|event selects the sweep schedule\n"
+      "             (identical results; event skips idle cycles),\n"
       "             --telemetry N\n"
       "             to sample deep network telemetry every N measured cycles;\n"
       "             --fault-plan F replays a JSON schedule of link/switch\n"
