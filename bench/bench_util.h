@@ -13,13 +13,16 @@
 namespace commsched::bench {
 
 /// Snapshot-delta reader over the global obs::Registry: construct before the
-/// measured region, then ask for per-counter deltas afterwards. Benches use
-/// this to report work counters (swap evaluations, flits, cycles) next to
-/// wall-clock numbers — e.g. as google-benchmark custom counters, which land
-/// in the perf JSON as swaps/sec or flits/cycle columns.
+/// measured region, then ask for per-counter deltas and per-histogram
+/// percentiles afterwards. Benches use this to report work counters (swap
+/// evaluations, flits, cycles) and latency percentiles next to wall-clock
+/// numbers — e.g. as google-benchmark custom counters, which land in the
+/// perf JSON as swaps/sec, flits/cycle or lat_p50 columns.
 class ObsDelta {
  public:
-  ObsDelta() : start_(obs::Registry::Global().CounterValues()) {}
+  ObsDelta()
+      : start_(obs::Registry::Global().CounterValues()),
+        start_histograms_(obs::Registry::Global().HistogramValues()) {}
 
   /// Counter increase since construction (0 for never-registered names).
   [[nodiscard]] std::uint64_t Delta(const std::string& name) const {
@@ -39,14 +42,35 @@ class ObsDelta {
     return static_cast<double>(Delta(numerator)) / static_cast<double>(denom);
   }
 
+  /// Percentile of only the samples recorded since construction (0 when
+  /// none). The buckets, count and sum are deltas; min/max stay the
+  /// histogram's lifetime extremes, which bound the delta's and only clamp
+  /// the in-bucket interpolation.
+  [[nodiscard]] double Percentile(const std::string& name, double q) const {
+    const auto now = obs::Registry::Global().HistogramValues();
+    const auto it = now.find(name);
+    if (it == now.end()) return 0.0;
+    obs::HistogramSnapshot delta = it->second;
+    const auto base = start_histograms_.find(name);
+    if (base != start_histograms_.end()) {
+      for (std::size_t b = 0; b < obs::HistogramSnapshot::kBuckets; ++b) {
+        delta.buckets[b] -= base->second.buckets[b];
+      }
+      delta.count -= base->second.count;
+      delta.sum -= base->second.sum;
+    }
+    return delta.Percentile(q);
+  }
+
  private:
   std::map<std::string, std::uint64_t> start_;
+  std::map<std::string, obs::HistogramSnapshot> start_histograms_;
 };
 
 /// Percentile estimate from a global-registry histogram (0 when absent or
-/// empty). Histograms accumulate across bench iterations, so this reports
-/// the distribution over the whole measured region — which is what a p50/p99
-/// column should mean.
+/// empty). The registry is process-global and never reset, so this covers
+/// every sample recorded so far in the process: earlier benchmarks and
+/// repetitions included. Use ObsDelta::Percentile for one measured region.
 inline double HistogramPercentile(const std::string& name, double q) {
   const auto histograms = obs::Registry::Global().HistogramValues();
   const auto it = histograms.find(name);

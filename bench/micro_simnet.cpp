@@ -45,8 +45,8 @@ void BM_SimulateModerateLoad(benchmark::State& state) {
       benchmark::Counter(obs_delta.Rate("sim.flits_delivered", "sim.measured_cycles"));
   state.counters["cycles_per_sec"] = benchmark::Counter(
       static_cast<double>(obs_delta.Delta("sim.cycles")), benchmark::Counter::kIsRate);
-  state.counters["lat_p50"] = benchmark::Counter(bench::HistogramPercentile("net.latency", 0.50));
-  state.counters["lat_p99"] = benchmark::Counter(bench::HistogramPercentile("net.latency", 0.99));
+  state.counters["lat_p50"] = benchmark::Counter(obs_delta.Percentile("net.latency", 0.50));
+  state.counters["lat_p99"] = benchmark::Counter(obs_delta.Percentile("net.latency", 0.99));
 }
 BENCHMARK(BM_SimulateModerateLoad)->Arg(16)->Arg(24)->Unit(benchmark::kMillisecond);
 

@@ -274,13 +274,10 @@ bool NetworkSimulator::ArbitrateSwitch(std::size_t s) {
     }
 
     bool claimed = false;
-    const std::vector<VcCandidate> candidates =
-        policy_->Candidates(m.current_switch, m.dst_switch, m.phase, m.on_escape);
-    for (const VcCandidate& cand : candidates) {
-      const topo::Link& link = graph_->link(cand.link);
-      const std::size_t channel = 2 * cand.link + (link.a == m.current_switch ? 0 : 1);
-      CS_DCHECK(ChannelFrom(channel) == m.current_switch, "candidate not incident");
-      const std::size_t o = channel * vc_count_ + cand.vc;
+    for (const VcCandidate& cand :
+         policy_->Candidates(m.current_switch, m.dst_switch, m.phase, m.on_escape)) {
+      CS_DCHECK(ChannelFrom(cand.channel) == m.current_switch, "candidate not incident");
+      const std::size_t o = cand.channel * vc_count_ + cand.vc;
       OutputPort& port = outputs_[o];
       if (port.owner != OutputPort::kFree) continue;
       port.owner = msg_id;
@@ -289,7 +286,7 @@ bool NetworkSimulator::ArbitrateSwitch(std::size_t s) {
       port.next_escape = cand.escape;
       buffer.granted_output = o;
       claimed = true;
-      channel_active_.Add(channel);
+      channel_active_.Add(cand.channel);
       break;
     }
     if (!claimed) pending = true;
