@@ -36,7 +36,7 @@ void BM_EngineDescentSeed(benchmark::State& state) {
     Rng rng(++seed);
     const qual::Partition start = qual::Partition::Random(sizes, rng);
     qual::SwapEvaluator eval(table, start);
-    sched::IntraSumObjective objective(table, eval);
+    sched::IntraSumObjective objective(eval);
     sched::SeedRun run = engine.RunSeed(objective, 0);
     engine.FlushSeedObservability(run, 0);
     evaluations += run.result.evaluations;

@@ -28,20 +28,62 @@ void BM_GlobalSimilarityDirect(benchmark::State& state) {
 }
 BENCHMARK(BM_GlobalSimilarityDirect)->Arg(16)->Arg(24);
 
+/// A fixed inter-cluster pair of the evaluator's partition.
+std::pair<std::size_t, std::size_t> InterClusterPair(const qual::SwapEvaluator& eval) {
+  std::size_t b = 1;
+  while (eval.partition().ClusterOf(0) == eval.partition().ClusterOf(b)) ++b;
+  return {0, b};
+}
+
+// The swap-delta loop under each of the evaluator's weightings. Arg(96) is
+// the net size of perfbench map_large's schedule and the daemon's cold
+// schedules.
 void BM_SwapDelta(benchmark::State& state) {
   const dist::DistanceTable table = Table(static_cast<std::size_t>(state.range(0)));
   Rng rng(1);
   const std::vector<std::size_t> sizes(4, table.size() / 4);
-  qual::SwapEvaluator eval(table, qual::Partition::Random(sizes, rng));
-  // Pre-pick an inter-cluster pair.
-  std::size_t a = 0;
-  std::size_t b = 1;
-  while (eval.partition().ClusterOf(a) == eval.partition().ClusterOf(b)) ++b;
+  const qual::SwapEvaluator eval(table, qual::Partition::Random(sizes, rng));
+  const auto [a, b] = InterClusterPair(eval);
   for (auto _ : state) {
     benchmark::DoNotOptimize(eval.SwapDelta(a, b));
   }
 }
-BENCHMARK(BM_SwapDelta)->Arg(16)->Arg(24);
+BENCHMARK(BM_SwapDelta)->Arg(16)->Arg(24)->Arg(96);
+
+/// F_G^λ: per-cluster intensities, as IntensityTabuSearch uses them.
+void BM_SwapDeltaIntensity(benchmark::State& state) {
+  const dist::DistanceTable table = Table(static_cast<std::size_t>(state.range(0)));
+  Rng rng(1);
+  const std::vector<std::size_t> sizes(4, table.size() / 4);
+  const qual::SwapEvaluator eval(table, qual::Partition::Random(sizes, rng),
+                                 {1.0, 1.5, 2.0, 2.5});
+  const auto [a, b] = InterClusterPair(eval);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eval.SwapDelta(a, b));
+  }
+}
+BENCHMARK(BM_SwapDeltaIntensity)->Arg(16)->Arg(24)->Arg(96);
+
+/// F_G^w: a pair weight matrix moves the intra weight too, so this times
+/// FgAfterSwap, the call WeightedTabuSearch makes per candidate.
+void BM_SwapDeltaPairWeighted(benchmark::State& state) {
+  const dist::DistanceTable table = Table(static_cast<std::size_t>(state.range(0)));
+  const std::size_t n = table.size();
+  qual::WeightMatrix weights(n, 1.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      weights.Set(i, j, 1.0 + static_cast<double>((i * 7 + j * 3) % 5));
+    }
+  }
+  Rng rng(1);
+  const std::vector<std::size_t> sizes(4, n / 4);
+  const qual::SwapEvaluator eval(table, qual::Partition::Random(sizes, rng), {}, &weights);
+  const auto [a, b] = InterClusterPair(eval);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eval.FgAfterSwap(a, b));
+  }
+}
+BENCHMARK(BM_SwapDeltaPairWeighted)->Arg(16)->Arg(24)->Arg(96);
 
 void BM_FullNeighborhoodScan(benchmark::State& state) {
   const dist::DistanceTable table = Table(static_cast<std::size_t>(state.range(0)));

@@ -1,5 +1,7 @@
 #include "quality/quality.h"
 
+#include "quality/weighted.h"
+
 namespace commsched::qual {
 
 double ClusterSimilarity(const DistanceTable& table, const Partition& partition,
@@ -58,39 +60,59 @@ double ClusteringCoefficient(const DistanceTable& table, const Partition& partit
   return GlobalDissimilarity(table, partition) / fg;
 }
 
-SwapEvaluator::SwapEvaluator(const DistanceTable& table, Partition partition)
-    : table_(&table), partition_(std::move(partition)) {
+SwapEvaluator::SwapEvaluator(const DistanceTable& table, Partition partition,
+                             std::vector<double> cluster_intensity, const WeightMatrix* weights)
+    : table_(&table),
+      weights_(weights),
+      partition_(std::move(partition)),
+      intensity_(std::move(cluster_intensity)) {
   CS_CHECK(table.size() == partition_.switch_count(), "table / partition size mismatch");
+  CS_CHECK(weights_ == nullptr || weights_->size() == table.size(),
+           "table / weights size mismatch");
   CS_CHECK(partition_.IntraPairCount() > 0, "evaluator needs a cluster with two switches");
   CS_CHECK(partition_.cluster_count() >= 2, "evaluator needs at least two clusters");
-  sum_all_pairs_sq_ = table.SumSquaredAllPairs();
-  mean_sq_distance_ = table.MeanSquaredDistance();
-  intra_sum_ = ComputeIntraSum();
+  if (intensity_.empty()) intensity_.assign(partition_.cluster_count(), 1.0);
+  CS_CHECK(intensity_.size() == partition_.cluster_count(), "one intensity per cluster");
+  for (const double lambda : intensity_) {
+    CS_CHECK(lambda >= 0.0, "intensities are non-negative");
+    unit_intensity_ = unit_intensity_ && lambda == 1.0;
+  }
+  Recompute();
+  CS_CHECK(all_.w > 0.0, "all-zero weight matrix");
+  norm_ = all_.wsq / all_.w;
 }
 
-double SwapEvaluator::ComputeIntraSum() const {
-  double sum = 0.0;
+void SwapEvaluator::Recompute() {
+  intra_ = {};
+  all_ = {};
   const std::size_t n = partition_.switch_count();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      if (partition_.ClusterOf(i) == partition_.ClusterOf(j)) {
-        const double d = (*table_)(i, j);
-        sum += d * d;
-      }
+      const double d = (*table_)(i, j);
+      const double pair_w = weights_ != nullptr ? (*weights_)(i, j) : 1.0;
+      all_.wsq += pair_w * d * d;
+      all_.w += pair_w;
+      const std::size_t c = partition_.ClusterOf(i);
+      if (c != partition_.ClusterOf(j)) continue;
+      const double intra_w = intensity_[c] * pair_w;
+      intra_.wsq += intra_w * d * d;
+      intra_.w += intra_w;
     }
   }
-  return sum;
 }
 
-double SwapEvaluator::Fg() const {
-  return (intra_sum_ / static_cast<double>(partition_.IntraPairCount())) / mean_sq_distance_;
+double SwapEvaluator::FgOf(const Sums& sums) const {
+  CS_CHECK(sums.w > 0.0, "no intracluster communication weight");
+  return (sums.wsq / sums.w) / norm_;
 }
+
+double SwapEvaluator::Fg() const { return FgOf(intra_); }
 
 double SwapEvaluator::Dg() const {
-  // Ordered intercluster sum = 2 * (all-pairs sum - intracluster sum).
-  const double inter_sum = 2.0 * (sum_all_pairs_sq_ - intra_sum_);
-  return (inter_sum / static_cast<double>(partition_.InterPairCountOrdered())) /
-         mean_sq_distance_;
+  CS_CHECK(unit_intensity_, "D_G is defined for unit intensities only");
+  const double inter_w = all_.w - intra_.w;
+  CS_CHECK(inter_w > 0.0, "no intercluster communication weight");
+  return ((all_.wsq - intra_.wsq) / inter_w) / norm_;
 }
 
 double SwapEvaluator::Cc() const {
@@ -99,44 +121,71 @@ double SwapEvaluator::Cc() const {
   return Dg() / fg;
 }
 
-double SwapEvaluator::SwapDelta(std::size_t a, std::size_t b) const {
+template <bool kWeighted>
+SwapEvaluator::Sums SwapEvaluator::SwapSums(std::size_t a, std::size_t b) const {
   const std::size_t n = partition_.switch_count();
   CS_CHECK(a < n && b < n, "switch out of range");
   const std::size_t ca = partition_.ClusterOf(a);
   const std::size_t cb = partition_.ClusterOf(b);
   CS_CHECK(ca != cb, "SwapDelta requires switches in different clusters");
+  const double lambda_a = intensity_[ca];
+  const double lambda_b = intensity_[cb];
   // a leaves ca (remove its intra terms), b joins ca in its place; likewise
-  // for b/cb. The (a,b) pair itself stays intercluster on both sides.
-  double delta = 0.0;
-  for (std::size_t w = 0; w < n; ++w) {
-    if (w == a || w == b) continue;
-    const std::size_t cw = partition_.ClusterOf(w);
-    const double daw = (*table_)(a, w);
-    const double dbw = (*table_)(b, w);
-    if (cw == ca) {
-      delta += dbw * dbw - daw * daw;
-    } else if (cw == cb) {
-      delta += daw * daw - dbw * dbw;
+  // for b/cb. The (a,b) pair itself stays intercluster on both sides. Terms
+  // accumulate in switch order into one sum: the goldens pin that order.
+  const std::vector<std::size_t>& cluster_of = partition_.cluster_of_switch();
+  Sums delta;
+  for (std::size_t s = 0; s < n; ++s) {
+    if (s == a || s == b) continue;
+    const std::size_t cs = cluster_of[s];
+    if (cs != ca && cs != cb) continue;
+    const double wa = kWeighted ? (*weights_)(a, s) : 1.0;
+    const double wb = kWeighted ? (*weights_)(b, s) : 1.0;
+    const double da = (*table_)(a, s);
+    const double db = (*table_)(b, s);
+    const double sqa = wa * da * da;
+    const double sqb = wb * db * db;
+    if (cs == ca) {
+      delta.wsq += lambda_a * (sqb - sqa);
+      if constexpr (kWeighted) delta.w += lambda_a * (wb - wa);
+    } else {
+      delta.wsq += lambda_b * (sqa - sqb);
+      if constexpr (kWeighted) delta.w += lambda_b * (wa - wb);
     }
   }
   return delta;
 }
 
+SwapEvaluator::Sums SwapEvaluator::SwapDeltas(std::size_t a, std::size_t b) const {
+  // Without W every pair weight is 1, so the intra weight cannot move.
+  return weights_ != nullptr ? SwapSums<true>(a, b) : SwapSums<false>(a, b);
+}
+
+double SwapEvaluator::SwapDelta(std::size_t a, std::size_t b) const {
+  return SwapDeltas(a, b).wsq;
+}
+
+double SwapEvaluator::FgAfterDelta(double delta) const {
+  return FgOf({intra_.wsq + delta, intra_.w});
+}
+
+double SwapEvaluator::FgAfterSwap(std::size_t a, std::size_t b) const {
+  const Sums delta = SwapDeltas(a, b);
+  return FgOf({intra_.wsq + delta.wsq, intra_.w + delta.w});
+}
+
 void SwapEvaluator::ApplySwap(std::size_t a, std::size_t b) {
-  const double delta = SwapDelta(a, b);
+  const Sums delta = SwapDeltas(a, b);
   partition_.Swap(a, b);
-  intra_sum_ += delta;
+  intra_.wsq += delta.wsq;
+  intra_.w += delta.w;
 }
 
 void SwapEvaluator::Reset(Partition partition) {
   CS_CHECK(partition.switch_count() == table_->size(), "table / partition size mismatch");
+  CS_CHECK(partition.cluster_count() == intensity_.size(), "one intensity per cluster");
   partition_ = std::move(partition);
-  intra_sum_ = ComputeIntraSum();
-}
-
-double SwapEvaluator::FgAfterDelta(double delta) const {
-  return ((intra_sum_ + delta) / static_cast<double>(partition_.IntraPairCount())) /
-         mean_sq_distance_;
+  Recompute();
 }
 
 }  // namespace commsched::qual

@@ -111,165 +111,4 @@ double IntensityGlobalSimilarity(const DistanceTable& table, const Partition& pa
   return (weighted_sum / weighted_pairs) / table.MeanSquaredDistance();
 }
 
-IntensitySwapEvaluator::IntensitySwapEvaluator(const DistanceTable& table, Partition partition,
-                                               std::vector<double> cluster_intensity)
-    : table_(&table), partition_(std::move(partition)), intensity_(std::move(cluster_intensity)) {
-  CS_CHECK(table.size() == partition_.switch_count(), "table / partition size mismatch");
-  CS_CHECK(intensity_.size() == partition_.cluster_count(), "one intensity per cluster");
-  for (std::size_t c = 0; c < intensity_.size(); ++c) {
-    CS_CHECK(intensity_[c] >= 0.0, "intensities are non-negative");
-    const double size = static_cast<double>(partition_.ClusterSize(c));
-    weighted_pair_count_ += intensity_[c] * size * (size - 1) / 2.0;
-  }
-  CS_CHECK(weighted_pair_count_ > 0.0, "no weighted intracluster pairs");
-  mean_sq_distance_ = table.MeanSquaredDistance();
-  weighted_intra_sum_ = ComputeWeightedIntraSum();
-}
-
-double IntensitySwapEvaluator::ComputeWeightedIntraSum() const {
-  double sum = 0.0;
-  const std::size_t n = partition_.switch_count();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const std::size_t c = partition_.ClusterOf(i);
-      if (c != partition_.ClusterOf(j)) continue;
-      const double d = (*table_)(i, j);
-      sum += intensity_[c] * d * d;
-    }
-  }
-  return sum;
-}
-
-double IntensitySwapEvaluator::Fg() const {
-  return (weighted_intra_sum_ / weighted_pair_count_) / mean_sq_distance_;
-}
-
-double IntensitySwapEvaluator::SwapDelta(std::size_t a, std::size_t b) const {
-  const std::size_t n = partition_.switch_count();
-  CS_CHECK(a < n && b < n, "switch out of range");
-  const std::size_t ca = partition_.ClusterOf(a);
-  const std::size_t cb = partition_.ClusterOf(b);
-  CS_CHECK(ca != cb, "swap requires switches in different clusters");
-  double delta = 0.0;
-  for (std::size_t w = 0; w < n; ++w) {
-    if (w == a || w == b) continue;
-    const std::size_t cw = partition_.ClusterOf(w);
-    const double daw = (*table_)(a, w);
-    const double dbw = (*table_)(b, w);
-    if (cw == ca) {
-      delta += intensity_[ca] * (dbw * dbw - daw * daw);
-    } else if (cw == cb) {
-      delta += intensity_[cb] * (daw * daw - dbw * dbw);
-    }
-  }
-  return delta;
-}
-
-double IntensitySwapEvaluator::FgAfterDelta(double delta) const {
-  return ((weighted_intra_sum_ + delta) / weighted_pair_count_) / mean_sq_distance_;
-}
-
-void IntensitySwapEvaluator::ApplySwap(std::size_t a, std::size_t b) {
-  const double delta = SwapDelta(a, b);
-  partition_.Swap(a, b);
-  weighted_intra_sum_ += delta;
-}
-
-WeightedSwapEvaluator::WeightedSwapEvaluator(const DistanceTable& table,
-                                             const WeightMatrix& weights, Partition partition)
-    : table_(&table), weights_(&weights), partition_(std::move(partition)) {
-  CS_CHECK(table.size() == weights.size(), "table / weights size mismatch");
-  CS_CHECK(table.size() == partition_.switch_count(), "table / partition size mismatch");
-  CS_CHECK(partition_.cluster_count() >= 2, "evaluator needs at least two clusters");
-  const std::size_t n = table.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double w = (*weights_)(i, j);
-      all_w_ += w;
-      all_wsq_ += w * table(i, j) * table(i, j);
-    }
-  }
-  CS_CHECK(all_w_ > 0.0, "all-zero weight matrix");
-  sums_ = ComputeSums();
-}
-
-WeightedSwapEvaluator::Sums WeightedSwapEvaluator::ComputeSums() const {
-  Sums sums;
-  const std::size_t n = partition_.switch_count();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (partition_.ClusterOf(i) != partition_.ClusterOf(j)) continue;
-      const double w = (*weights_)(i, j);
-      sums.intra_w += w;
-      sums.intra_wsq += w * (*table_)(i, j) * (*table_)(i, j);
-    }
-  }
-  return sums;
-}
-
-double WeightedSwapEvaluator::FgFromSums(const Sums& sums) const {
-  CS_CHECK(sums.intra_w > 0.0, "no intracluster communication weight");
-  return (sums.intra_wsq / sums.intra_w) / (all_wsq_ / all_w_);
-}
-
-double WeightedSwapEvaluator::Fg() const { return FgFromSums(sums_); }
-
-double WeightedSwapEvaluator::Dg() const {
-  const double inter_w = all_w_ - sums_.intra_w;
-  const double inter_wsq = all_wsq_ - sums_.intra_wsq;
-  CS_CHECK(inter_w > 0.0, "no intercluster communication weight");
-  return (inter_wsq / inter_w) / (all_wsq_ / all_w_);
-}
-
-double WeightedSwapEvaluator::Cc() const {
-  const double fg = Fg();
-  CS_CHECK(fg > 0.0, "degenerate weighted F_G");
-  return Dg() / fg;
-}
-
-WeightedSwapEvaluator::Sums WeightedSwapEvaluator::SwapDeltas(std::size_t a,
-                                                              std::size_t b) const {
-  const std::size_t n = partition_.switch_count();
-  CS_CHECK(a < n && b < n, "switch out of range");
-  const std::size_t ca = partition_.ClusterOf(a);
-  const std::size_t cb = partition_.ClusterOf(b);
-  CS_CHECK(ca != cb, "swap requires switches in different clusters");
-  Sums delta;
-  for (std::size_t w = 0; w < n; ++w) {
-    if (w == a || w == b) continue;
-    const std::size_t cw = partition_.ClusterOf(w);
-    const double wa = (*weights_)(a, w);
-    const double wb = (*weights_)(b, w);
-    const double sqa = wa * (*table_)(a, w) * (*table_)(a, w);
-    const double sqb = wb * (*table_)(b, w) * (*table_)(b, w);
-    if (cw == ca) {
-      // a's terms leave, b's enter (b replaces a in cluster ca).
-      delta.intra_w += wb - wa;
-      delta.intra_wsq += sqb - sqa;
-    } else if (cw == cb) {
-      delta.intra_w += wa - wb;
-      delta.intra_wsq += sqa - sqb;
-    }
-  }
-  return delta;
-}
-
-double WeightedSwapEvaluator::FgAfterSwap(std::size_t a, std::size_t b) const {
-  const Sums delta = SwapDeltas(a, b);
-  return FgFromSums({sums_.intra_wsq + delta.intra_wsq, sums_.intra_w + delta.intra_w});
-}
-
-void WeightedSwapEvaluator::ApplySwap(std::size_t a, std::size_t b) {
-  const Sums delta = SwapDeltas(a, b);
-  partition_.Swap(a, b);
-  sums_.intra_wsq += delta.intra_wsq;
-  sums_.intra_w += delta.intra_w;
-}
-
-void WeightedSwapEvaluator::Reset(Partition partition) {
-  CS_CHECK(partition.switch_count() == table_->size(), "table / partition size mismatch");
-  partition_ = std::move(partition);
-  sums_ = ComputeSums();
-}
-
 }  // namespace commsched::qual

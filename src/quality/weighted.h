@@ -8,7 +8,9 @@
 //   F_G^w = ( Σ_intra w T² / Σ_intra w ) / ( Σ_all w T² / Σ_all w )
 //
 // and reduces exactly to F_G when every weight is equal. D_G^w and C_c^w
-// follow the same pattern over intercluster pairs.
+// follow the same pattern over intercluster pairs. qual::SwapEvaluator
+// (quality.h) maintains both weightings incrementally; the functions here
+// are the from-scratch references.
 #pragma once
 
 #include "distance/distance_table.h"
@@ -73,7 +75,7 @@ class WeightMatrix {
 //
 // with m_c the intracluster pair count of cluster c. All λ equal recovers
 // F_G exactly, and the denominator is invariant under swaps (sizes fixed),
-// so the incremental evaluator stays a scaled sum delta.
+// so SwapEvaluator's delta stays a scaled sum delta.
 // ---------------------------------------------------------------------------
 
 /// F_G^λ; `cluster_intensity` must have one positive-or-zero entry per
@@ -81,73 +83,5 @@ class WeightMatrix {
 [[nodiscard]] double IntensityGlobalSimilarity(const DistanceTable& table,
                                                const Partition& partition,
                                                const std::vector<double>& cluster_intensity);
-
-/// Incremental evaluator for swap-based search on F_G^λ.
-class IntensitySwapEvaluator {
- public:
-  IntensitySwapEvaluator(const DistanceTable& table, Partition partition,
-                         std::vector<double> cluster_intensity);
-
-  [[nodiscard]] const Partition& partition() const { return partition_; }
-  [[nodiscard]] double Fg() const;
-
-  /// Change of the weighted intracluster sum for exchanging a and b
-  /// (different clusters); F_G^λ scales by a constant, so ordering by delta
-  /// orders by F_G^λ.
-  [[nodiscard]] double SwapDelta(std::size_t a, std::size_t b) const;
-  [[nodiscard]] double FgAfterDelta(double delta) const;
-  void ApplySwap(std::size_t a, std::size_t b);
-
- private:
-  [[nodiscard]] double ComputeWeightedIntraSum() const;
-
-  const DistanceTable* table_;
-  Partition partition_;
-  std::vector<double> intensity_;
-  double weighted_intra_sum_ = 0.0;
-  double weighted_pair_count_ = 0.0;  // Σ_c λ_c m_c (swap-invariant)
-  double mean_sq_distance_ = 0.0;
-};
-
-/// Incremental evaluator for swap-based search on F_G^w. Mirrors
-/// qual::SwapEvaluator; additionally maintains the running intracluster
-/// weight (the weighted pair count is no longer invariant under swaps).
-class WeightedSwapEvaluator {
- public:
-  /// table/weights must outlive the evaluator and share the same size.
-  WeightedSwapEvaluator(const DistanceTable& table, const WeightMatrix& weights,
-                        Partition partition);
-
-  [[nodiscard]] const Partition& partition() const { return partition_; }
-
-  [[nodiscard]] double Fg() const;
-  [[nodiscard]] double Dg() const;
-  [[nodiscard]] double Cc() const;
-
-  /// F_G^w change if switches a and b (different clusters) were exchanged.
-  /// Unlike the unweighted case this is not a simple scaled sum delta, so
-  /// the full resulting F_G^w is returned.
-  [[nodiscard]] double FgAfterSwap(std::size_t a, std::size_t b) const;
-
-  void ApplySwap(std::size_t a, std::size_t b);
-
-  void Reset(Partition partition);
-
- private:
-  struct Sums {
-    double intra_wsq = 0.0;  // Σ_intra w T²
-    double intra_w = 0.0;    // Σ_intra w
-  };
-  [[nodiscard]] Sums ComputeSums() const;
-  [[nodiscard]] Sums SwapDeltas(std::size_t a, std::size_t b) const;
-  [[nodiscard]] double FgFromSums(const Sums& sums) const;
-
-  const DistanceTable* table_;
-  const WeightMatrix* weights_;
-  Partition partition_;
-  Sums sums_;
-  double all_wsq_ = 0.0;  // Σ_all w T²
-  double all_w_ = 0.0;    // Σ_all w
-};
 
 }  // namespace commsched::qual

@@ -117,7 +117,7 @@ SearchResult SimulatedAnnealing(const DistanceTable& table,
     }
 
     MetropolisPolicy policy(initial, options.cooling, floor);
-    IntraSumObjective objective(table, eval);
+    IntraSumObjective objective(eval);
     const SampledMoveStats stats = RunSampledMoves(
         objective, policy, options.iterations, rng, [&](std::size_t it) {
           if (eval.IntraSum() < walk.best_sum - kSearchEps) {
@@ -259,7 +259,7 @@ SearchResult GeneticSimulatedAnnealing(const DistanceTable& table,
       // Mutation phase: each individual attempts SA-accepted swaps.
       policy.set_temperature(temperature);
       for (auto& ind : population) {
-        IntraSumObjective objective(table, ind.eval);
+        IntraSumObjective objective(ind.eval);
         const SampledMoveStats stats =
             RunSampledMoves(objective, policy, options.moves_per_individual, rng,
                             [&](std::size_t) { consider_best(ind.eval); });

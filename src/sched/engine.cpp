@@ -366,7 +366,7 @@ std::size_t CountMovedFromAnchor(const Partition& partition, const Partition& an
 
 TabuObjective::TabuObjective(const DistanceTable& table, const Partition& start,
                              const Partition* anchor, double migration_penalty)
-    : eval_(table, start), table_(&table), anchor_(anchor) {
+    : EvaluatorObjective(qual::SwapEvaluator(table, start)), anchor_(anchor) {
   const std::size_t n = start.switch_count();
   if (anchor_ != nullptr) {
     CS_CHECK(anchor_->switch_count() == n, "anchor size mismatch");
@@ -394,8 +394,6 @@ double TabuObjective::Value() const {
   return eval_.Fg() + move_cost_ * static_cast<double>(moved_);
 }
 
-double TabuObjective::TraceFg() const { return eval_.Fg(); }
-
 double TabuObjective::AspirantValue(double cost, double current_value) {
   return current_value + cost;
 }
@@ -405,10 +403,8 @@ void TabuObjective::Apply(std::size_t a, std::size_t b) {
   eval_.ApplySwap(a, b);
 }
 
-const Partition& TabuObjective::partition() const { return eval_.partition(); }
-
 void TabuObjective::FinalizeSeed(SearchResult& result) const {
-  FinalizeResult(*table_, result);
+  FinalizeResult(eval_.table(), result);
   if (anchor_ != nullptr) {
     result.moved_from_anchor = CountMovedFromAnchor(result.best, *anchor_);
   }
@@ -416,7 +412,7 @@ void TabuObjective::FinalizeSeed(SearchResult& result) const {
 
 WeightedFgObjective::WeightedFgObjective(const DistanceTable& table,
                                          const qual::WeightMatrix& weights, const Partition& start)
-    : eval_(table, weights, start), table_(&table), weights_(&weights) {}
+    : EvaluatorObjective(qual::SwapEvaluator(table, start, {}, &weights)), weights_(&weights) {}
 
 double WeightedFgObjective::SwapCost(std::size_t a, std::size_t b) {
   return eval_.FgAfterSwap(a, b);
@@ -424,23 +420,17 @@ double WeightedFgObjective::SwapCost(std::size_t a, std::size_t b) {
 
 double WeightedFgObjective::Value() const { return eval_.Fg(); }
 
-double WeightedFgObjective::TraceFg() const { return eval_.Fg(); }
-
 double WeightedFgObjective::AspirantValue(double cost, double /*current_value*/) { return cost; }
 
-void WeightedFgObjective::Apply(std::size_t a, std::size_t b) { eval_.ApplySwap(a, b); }
-
-const Partition& WeightedFgObjective::partition() const { return eval_.partition(); }
-
 void WeightedFgObjective::FinalizeSeed(SearchResult& result) const {
-  result.best_fg = qual::WeightedGlobalSimilarity(*table_, *weights_, result.best);
-  result.best_dg = qual::WeightedGlobalDissimilarity(*table_, *weights_, result.best);
+  result.best_fg = qual::WeightedGlobalSimilarity(eval_.table(), *weights_, result.best);
+  result.best_dg = qual::WeightedGlobalDissimilarity(eval_.table(), *weights_, result.best);
   result.best_cc = result.best_dg / result.best_fg;
 }
 
 IntensityFgObjective::IntensityFgObjective(const DistanceTable& table, const Partition& start,
                                            const std::vector<double>& cluster_intensity)
-    : eval_(table, start, cluster_intensity), table_(&table), intensity_(cluster_intensity) {}
+    : EvaluatorObjective(qual::SwapEvaluator(table, start, cluster_intensity)) {}
 
 double IntensityFgObjective::SwapCost(std::size_t a, std::size_t b) {
   return eval_.SwapDelta(a, b);
@@ -448,20 +438,15 @@ double IntensityFgObjective::SwapCost(std::size_t a, std::size_t b) {
 
 double IntensityFgObjective::Value() const { return eval_.Fg(); }
 
-double IntensityFgObjective::TraceFg() const { return eval_.Fg(); }
-
 double IntensityFgObjective::AspirantValue(double cost, double /*current_value*/) {
   return eval_.FgAfterDelta(cost);
 }
 
-void IntensityFgObjective::Apply(std::size_t a, std::size_t b) { eval_.ApplySwap(a, b); }
-
-const Partition& IntensityFgObjective::partition() const { return eval_.partition(); }
-
 void IntensityFgObjective::FinalizeSeed(SearchResult& result) const {
-  result.best_fg = qual::IntensityGlobalSimilarity(*table_, result.best, intensity_);
-  result.best_dg = qual::GlobalDissimilarity(*table_, result.best);
-  result.best_cc = result.best_dg / qual::GlobalSimilarity(*table_, result.best);
+  const DistanceTable& table = eval_.table();
+  result.best_fg = qual::IntensityGlobalSimilarity(table, result.best, eval_.intensity());
+  result.best_dg = qual::GlobalDissimilarity(table, result.best);
+  result.best_cc = result.best_dg / qual::GlobalSimilarity(table, result.best);
 }
 
 double IntraSumObjective::SwapCost(std::size_t a, std::size_t b) { return eval_->SwapDelta(a, b); }
@@ -479,7 +464,7 @@ void IntraSumObjective::Apply(std::size_t a, std::size_t b) { eval_->ApplySwap(a
 const Partition& IntraSumObjective::partition() const { return eval_->partition(); }
 
 void IntraSumObjective::FinalizeSeed(SearchResult& result) const {
-  FinalizeResult(*table_, result);
+  FinalizeResult(eval_->table(), result);
 }
 
 }  // namespace commsched::sched

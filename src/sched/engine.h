@@ -28,7 +28,9 @@
 // so ported searchers stay bit-identical to the pre-refactor code.
 //
 // To add a new objective: implement Objective over an incremental evaluator
-// (SwapCost must be O(cluster size), not a full recompute), pick the
+// (SwapCost must be O(cluster size), not a full recompute). Dense F_G
+// variants all use the one evaluator, qual::SwapEvaluator, configured with
+// per-cluster intensities and/or a pair weight matrix. Then pick the
 // ScanRules preset whose tie-breaking you want, and drive it either through
 // SearchEngine::RunSeed (one walk) or RunMultiStart (seeded restarts with
 // optional ThreadPool parallelism).
@@ -38,6 +40,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -66,9 +69,9 @@ struct EngineOptions {
 };
 
 /// A search objective over partitions. The engine only ever talks to the
-/// walk through this interface; adapters wrap the incremental evaluators
-/// (qual::SwapEvaluator, WeightedSwapEvaluator, IntensitySwapEvaluator) and
-/// the migration-anchored penalty.
+/// walk through this interface; the adapters below all wrap the one
+/// incremental evaluator, qual::SwapEvaluator (plain, intensity- or
+/// pair-weighted), plus the migration-anchored penalty.
 class Objective {
  public:
   virtual ~Objective() = default;
@@ -251,73 +254,72 @@ SampledMoveStats RunSampledMoves(Objective& objective, AcceptancePolicy& policy,
 /// Switches whose cluster differs from the anchor's (migration distance).
 [[nodiscard]] std::size_t CountMovedFromAnchor(const Partition& partition, const Partition& anchor);
 
+/// Base of the adapters that own their evaluator: the trace value, swap
+/// application and partition come straight from it.
+class EvaluatorObjective : public Objective {
+ public:
+  [[nodiscard]] double TraceFg() const override { return eval_.Fg(); }
+  void Apply(std::size_t a, std::size_t b) override { eval_.ApplySwap(a, b); }
+  [[nodiscard]] const Partition& partition() const override { return eval_.partition(); }
+
+ protected:
+  explicit EvaluatorObjective(qual::SwapEvaluator eval) : eval_(std::move(eval)) {}
+
+  qual::SwapEvaluator eval_;
+};
+
 /// Plain F_G (§4.2) with an optional migration-anchored penalty: minimizes
 /// F_G + migration_penalty * moved / N against `anchor`. With no anchor the
 /// migration machinery reduces to plain F_G minimization (deltas all zero).
-class TabuObjective final : public Objective {
+class TabuObjective final : public EvaluatorObjective {
  public:
   TabuObjective(const DistanceTable& table, const Partition& start, const Partition* anchor,
                 double migration_penalty);
 
   double SwapCost(std::size_t a, std::size_t b) override;
   [[nodiscard]] double Value() const override;
-  [[nodiscard]] double TraceFg() const override;
   [[nodiscard]] double AspirantValue(double cost, double current_value) override;
   void Apply(std::size_t a, std::size_t b) override;
-  [[nodiscard]] const Partition& partition() const override;
   void FinalizeSeed(SearchResult& result) const override;
 
  private:
   [[nodiscard]] int SwapDMoved(std::size_t a, std::size_t b) const;
 
-  qual::SwapEvaluator eval_;
-  const DistanceTable* table_;
   const Partition* anchor_;
   double move_cost_ = 0.0;
   double fg_scale_ = 0.0;  // F_G is affine in the intra sum
   std::size_t moved_ = 0;
 };
 
-/// Traffic-weighted F_G^w. Value space: FgAfterSwap yields the absolute
-/// post-swap value (no delta form exists), so this pairs with
+/// Traffic-weighted F_G^w: the evaluator with a pair weight matrix. Value
+/// space: the intra weight moves with the mapping, so only FgAfterSwap's
+/// absolute post-swap value is exact, and this pairs with
 /// ScanRules::ValueDescent().
-class WeightedFgObjective final : public Objective {
+class WeightedFgObjective final : public EvaluatorObjective {
  public:
   WeightedFgObjective(const DistanceTable& table, const qual::WeightMatrix& weights,
                       const Partition& start);
 
   double SwapCost(std::size_t a, std::size_t b) override;
   [[nodiscard]] double Value() const override;
-  [[nodiscard]] double TraceFg() const override;
   [[nodiscard]] double AspirantValue(double cost, double current_value) override;
-  void Apply(std::size_t a, std::size_t b) override;
-  [[nodiscard]] const Partition& partition() const override;
   void FinalizeSeed(SearchResult& result) const override;
 
  private:
-  qual::WeightedSwapEvaluator eval_;
-  const DistanceTable* table_;
   const qual::WeightMatrix* weights_;
 };
 
-/// Per-cluster intensity-weighted F_G^λ (delta space, like plain F_G).
-class IntensityFgObjective final : public Objective {
+/// Per-cluster intensity-weighted F_G^λ: the evaluator with cluster
+/// intensities (delta space, like plain F_G).
+class IntensityFgObjective final : public EvaluatorObjective {
  public:
   IntensityFgObjective(const DistanceTable& table, const Partition& start,
                        const std::vector<double>& cluster_intensity);
 
   double SwapCost(std::size_t a, std::size_t b) override;
   [[nodiscard]] double Value() const override;
-  [[nodiscard]] double TraceFg() const override;
   [[nodiscard]] double AspirantValue(double cost, double current_value) override;
-  void Apply(std::size_t a, std::size_t b) override;
-  [[nodiscard]] const Partition& partition() const override;
   void FinalizeSeed(SearchResult& result) const override;
-
- private:
-  qual::IntensitySwapEvaluator eval_;
-  const DistanceTable* table_;
-  std::vector<double> intensity_;
 };
 
 /// Raw intra-cluster sum over a borrowed SwapEvaluator. Used by steepest
@@ -326,8 +328,7 @@ class IntensityFgObjective final : public Objective {
 /// populations keep theirs across generations).
 class IntraSumObjective final : public Objective {
  public:
-  IntraSumObjective(const DistanceTable& table, qual::SwapEvaluator& eval)
-      : eval_(&eval), table_(&table) {}
+  explicit IntraSumObjective(qual::SwapEvaluator& eval) : eval_(&eval) {}
 
   double SwapCost(std::size_t a, std::size_t b) override;
   [[nodiscard]] double Value() const override;
@@ -339,7 +340,6 @@ class IntraSumObjective final : public Objective {
 
  private:
   qual::SwapEvaluator* eval_;
-  const DistanceTable* table_;
 };
 
 }  // namespace commsched::sched

@@ -24,7 +24,7 @@ SearchResult SteepestDescent(const DistanceTable& table,
   const SearchEngine engine("sd", spec.options, ScanRules::GreedyDescent());
   spec.run_seed = [&table, &engine](const Partition& start, std::size_t seed) {
     qual::SwapEvaluator eval(table, start);
-    IntraSumObjective objective(table, eval);
+    IntraSumObjective objective(eval);
     SeedRun run = engine.RunSeed(objective, seed);
     engine.FlushSeedObservability(run, seed);
     return run;

@@ -30,12 +30,12 @@ double DraftCost(const dist::DistanceTable& table, const qual::Partition& partit
 /// gain = (F_G drop of the swap) - penalty * (added displaced) / N, and
 /// swaps that would exceed the hard migration budget are inadmissible
 /// (SwapCost returns infinity, which the engine skips).
-class RepairObjective final : public Objective {
+class RepairObjective final : public EvaluatorObjective {
  public:
   RepairObjective(const dist::DistanceTable& table, const qual::Partition& start,
                   const std::vector<std::size_t>& anchor_cluster, std::size_t budget,
                   double penalty)
-      : eval_(table, start),
+      : EvaluatorObjective(qual::SwapEvaluator(table, start)),
         anchor_cluster_(&anchor_cluster),
         budget_(budget),
         penalty_(penalty),
@@ -69,8 +69,6 @@ class RepairObjective final : public Objective {
            penalty_ * static_cast<double>(displaced_count_) / static_cast<double>(n_);
   }
 
-  [[nodiscard]] double TraceFg() const override { return eval_.Fg(); }
-
   [[nodiscard]] double AspirantValue(double cost, double current_value) override {
     return current_value + cost;  // unused: repair runs without a tabu list
   }
@@ -86,8 +84,6 @@ class RepairObjective final : public Objective {
     }
   }
 
-  [[nodiscard]] const Partition& partition() const override { return eval_.partition(); }
-
   void FinalizeSeed(SearchResult& result) const override {
     // Incremental values, not a recompute — matches the legacy refinement.
     result.best_fg = eval_.Fg();
@@ -97,7 +93,6 @@ class RepairObjective final : public Objective {
   [[nodiscard]] std::size_t displaced_count() const { return displaced_count_; }
 
  private:
-  qual::SwapEvaluator eval_;
   const std::vector<std::size_t>* anchor_cluster_;
   std::size_t budget_;
   double penalty_;

@@ -54,29 +54,6 @@ TEST(Intensity, HotClusterDominatesTheScore) {
               qual::GlobalSimilarity(t, hot_on_loose), 1e-12);
 }
 
-TEST(Intensity, EvaluatorMatchesDirect) {
-  const dist::DistanceTable t = PaperTable(12, 5);
-  Rng rng(7);
-  const std::vector<double> intensity{4.0, 1.0, 0.5, 2.0};
-  qual::Partition p = qual::Partition::Random({3, 3, 3, 3}, rng);
-  qual::IntensitySwapEvaluator eval(t, p, intensity);
-  EXPECT_NEAR(eval.Fg(), qual::IntensityGlobalSimilarity(t, p, intensity), 1e-9);
-  for (int trial = 0; trial < 40; ++trial) {
-    std::size_t a = 0;
-    std::size_t b = 0;
-    do {
-      a = static_cast<std::size_t>(rng.NextIndex(12));
-      b = static_cast<std::size_t>(rng.NextIndex(12));
-    } while (eval.partition().ClusterOf(a) == eval.partition().ClusterOf(b));
-    qual::Partition swapped = eval.partition();
-    swapped.Swap(a, b);
-    EXPECT_NEAR(eval.FgAfterDelta(eval.SwapDelta(a, b)),
-                qual::IntensityGlobalSimilarity(t, swapped, intensity), 1e-9);
-    eval.ApplySwap(a, b);
-    EXPECT_NEAR(eval.Fg(), qual::IntensityGlobalSimilarity(t, swapped, intensity), 1e-9);
-  }
-}
-
 TEST(Intensity, ValidationErrors) {
   const dist::DistanceTable t = PaperTable(8, 1);
   const qual::Partition p = qual::Partition::Blocked({4, 4});

@@ -49,7 +49,7 @@ TEST(ServiceJson, RejectsMalformedInput) {
   EXPECT_THROW(svc::ParseJson("{\"a\":truu}"), ConfigError);
   EXPECT_THROW(svc::ParseJson(""), ConfigError);
   try {
-    svc::ParseJson("[1,2,");
+    (void)svc::ParseJson("[1,2,");
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("at byte"), std::string::npos) << e.what();
@@ -57,9 +57,9 @@ TEST(ServiceJson, RejectsMalformedInput) {
 }
 
 TEST(ServiceJson, UintRejectsNegativeAndFractional) {
-  EXPECT_THROW(svc::ParseJson("-3").AsUint("x"), ConfigError);
-  EXPECT_THROW(svc::ParseJson("2.5").AsUint("x"), ConfigError);
-  EXPECT_THROW(svc::ParseJson("\"7\"").AsUint("x"), ConfigError);
+  EXPECT_THROW((void)svc::ParseJson("-3").AsUint("x"), ConfigError);
+  EXPECT_THROW((void)svc::ParseJson("2.5").AsUint("x"), ConfigError);
+  EXPECT_THROW((void)svc::ParseJson("\"7\"").AsUint("x"), ConfigError);
   EXPECT_EQ(svc::ParseJson("12").AsUint("x"), 12u);
 }
 

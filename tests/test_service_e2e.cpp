@@ -380,12 +380,14 @@ TEST(ServiceE2E, SlowRequestLogCapturesThresholdedRequests) {
   const std::string log_path = TempPath("slow.jsonl");
   std::remove(log_path.c_str());
   ServeProcess serve(
-      {"--listen", "0", "--workers", "1", "--slow-ms", "5", "--slow-log", log_path});
+      {"--listen", "0", "--workers", "1", "--slow-ms", "100", "--slow-log", log_path});
   const int port = AnnouncedPort(serve);
   ASSERT_GT(port, 0);
 
   // One request over the threshold, one under: only the sleep is logged.
-  TcpJsonLine(port, R"({"id":"slow","op":"sleep","ms":30})");
+  // The threshold sits far from both (a ping measured 5 ms on a loaded
+  // machine), so scheduling noise cannot move either across it.
+  TcpJsonLine(port, R"({"id":"slow","op":"sleep","ms":300})");
   TcpJsonLine(port, R"({"id":"fast","op":"ping"})");
   const std::string stats = TcpJsonLine(port, R"({"id":"st","op":"stats"})");
   EXPECT_NE(stats.find("\"slow\":[{"), std::string::npos) << stats;

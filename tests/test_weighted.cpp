@@ -91,46 +91,5 @@ TEST(Weighted, ZeroIntraWeightThrows) {
   EXPECT_NO_THROW((void)WeightedGlobalDissimilarity(t, w, p));
 }
 
-TEST(WeightedSwapEvaluator, MatchesDirectComputation) {
-  const DistanceTable t = PaperTable(12, 7);
-  Rng rng(9);
-  WeightMatrix w(12, 1.0);
-  // Randomize the weights.
-  for (std::size_t i = 0; i < 12; ++i) {
-    for (std::size_t j = i + 1; j < 12; ++j) {
-      w.Set(i, j, 0.1 + rng.NextDouble() * 5.0);
-    }
-  }
-  Partition p = Partition::Random({3, 3, 3, 3}, rng);
-  WeightedSwapEvaluator eval(t, w, p);
-  EXPECT_NEAR(eval.Fg(), WeightedGlobalSimilarity(t, w, p), 1e-9);
-  EXPECT_NEAR(eval.Dg(), WeightedGlobalDissimilarity(t, w, p), 1e-9);
-  EXPECT_NEAR(eval.Cc(), WeightedClusteringCoefficient(t, w, p), 1e-9);
-
-  for (int trial = 0; trial < 40; ++trial) {
-    std::size_t a = 0;
-    std::size_t b = 0;
-    do {
-      a = static_cast<std::size_t>(rng.NextIndex(12));
-      b = static_cast<std::size_t>(rng.NextIndex(12));
-    } while (eval.partition().ClusterOf(a) == eval.partition().ClusterOf(b));
-    Partition swapped = eval.partition();
-    swapped.Swap(a, b);
-    EXPECT_NEAR(eval.FgAfterSwap(a, b), WeightedGlobalSimilarity(t, w, swapped), 1e-9);
-    eval.ApplySwap(a, b);
-    EXPECT_NEAR(eval.Fg(), WeightedGlobalSimilarity(t, w, swapped), 1e-9);
-  }
-}
-
-TEST(WeightedSwapEvaluator, ResetRecomputes) {
-  const DistanceTable t = PaperTable(8, 2);
-  const WeightMatrix w(8, 1.0);
-  WeightedSwapEvaluator eval(t, w, Partition::Blocked({4, 4}));
-  Rng rng(3);
-  const Partition other = Partition::Random({4, 4}, rng);
-  eval.Reset(other);
-  EXPECT_NEAR(eval.Fg(), WeightedGlobalSimilarity(t, w, other), 1e-12);
-}
-
 }  // namespace
 }  // namespace commsched::qual

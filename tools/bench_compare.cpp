@@ -1,7 +1,7 @@
 // bench_compare: gate benchmark results against a checked-in baseline.
 //
-//   bench_compare --baseline bench/baselines/BENCH_engine.json \
-//                 --current BENCH_engine.json [--threshold 0.15] [--metric real_time]
+//   bench_compare --baseline bench/baselines/BENCH_engine.json --current BENCH_engine.json
+//                 [--threshold 0.15] [--metric real_time]
 //
 // Both files are google-benchmark JSON (--benchmark_format=json). When a file
 // was produced with --benchmark_repetitions, only the "median" aggregate rows
