@@ -28,16 +28,19 @@ class DistanceTable {
   DistanceTable(std::size_t n, double fill);
 
   /// Builds the equivalent-distance table for a routing function, optionally
-  /// parallelizing across pairs.
+  /// parallelizing across source rows (small tables always build inline).
   [[nodiscard]] static DistanceTable Build(const Routing& routing, bool parallel = true);
 
   /// Hop-count table (ablation baseline): T[i][j] = minimal legal hops.
   [[nodiscard]] static DistanceTable BuildHopCount(const Routing& routing);
 
   /// BFS hop-count table straight from the graph, no routing function — the
-  /// large-fabric path (DESIGN.md §13). Build()'s per-pair effective-
-  /// resistance solves are infeasible at 10^3 switches; one BFS per source
-  /// is O(N(N+L)) total. Requires a connected graph.
+  /// large-fabric path (DESIGN.md §13). Build() solves one resistor network
+  /// per pair over that pair's minimal-path subgraph, so its cost follows
+  /// the subgraphs' size: fine on 10^3-switch irregular nets, too slow on
+  /// 10^3-switch tori, where some pairs' minimal paths cover the whole
+  /// fabric. One BFS per source is O(N(N+L)) total. Requires a connected
+  /// graph.
   [[nodiscard]] static DistanceTable BuildGraphHops(const topo::SwitchGraph& graph);
 
   /// Reconstructs a table from its raw row-major values (the artifact-store

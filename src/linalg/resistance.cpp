@@ -1,5 +1,6 @@
 #include "linalg/resistance.h"
 
+#include <numeric>
 #include <vector>
 
 #include "linalg/solve.h"
@@ -29,107 +30,66 @@ Matrix ResistorNetwork::Laplacian() const {
   return l;
 }
 
+std::vector<bool> ResistorNetwork::ReachableFrom(std::size_t s) const {
+  // Union-find over the resistors: one pass, one array.
+  std::vector<std::size_t> parent(node_count_);
+  std::iota(parent.begin(), parent.end(), std::size_t{0});
+  const auto find = [&parent](std::size_t u) {
+    while (parent[u] != u) u = parent[u] = parent[parent[u]];
+    return u;
+  };
+  for (const Resistor& r : resistors_) parent[find(r.a)] = find(r.b);
+  const std::size_t root = find(s);
+  std::vector<bool> reach(node_count_);
+  for (std::size_t u = 0; u < node_count_; ++u) reach[u] = find(u) == root;
+  return reach;
+}
+
 bool ResistorNetwork::Connected(std::size_t s, std::size_t t) const {
   CS_CHECK(s < node_count_ && t < node_count_, "node out of range");
-  if (s == t) return true;
-  std::vector<std::vector<std::size_t>> adj(node_count_);
-  for (const Resistor& r : resistors_) {
-    adj[r.a].push_back(r.b);
-    adj[r.b].push_back(r.a);
-  }
-  std::vector<bool> seen(node_count_, false);
-  std::vector<std::size_t> stack{s};
-  seen[s] = true;
-  while (!stack.empty()) {
-    const std::size_t u = stack.back();
-    stack.pop_back();
-    if (u == t) return true;
-    for (std::size_t v : adj[u]) {
-      if (!seen[v]) {
-        seen[v] = true;
-        stack.push_back(v);
-      }
-    }
-  }
-  return false;
+  return s == t || ReachableFrom(s)[t];
 }
 
 double ResistorNetwork::EffectiveResistance(std::size_t s, std::size_t t) const {
   CS_CHECK(s < node_count_ && t < node_count_, "terminal out of range");
   if (s == t) return 0.0;
-  CS_CHECK(Connected(s, t), "terminals are not connected; resistance is infinite");
+  const std::vector<bool> reach = ReachableFrom(s);
+  CS_CHECK(reach[t], "terminals are not connected; resistance is infinite");
 
-  // Ground node t: delete its row/column from L, solve L' v = e_s.
-  const Matrix l = Laplacian();
-  const std::size_t n = node_count_;
-  // Map original node -> reduced index.
-  std::vector<std::size_t> reduced(n, static_cast<std::size_t>(-1));
-  std::size_t idx = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    if (u != t) reduced[u] = idx++;
+  // Ground node t and keep only the component of s: the unknowns are the
+  // other reachable nodes in ascending order, which makes the grounded
+  // Laplacian SPD. Assemble it directly from the resistors (each entry
+  // accumulates its conductances in resistor order), so a network that
+  // carries extra isolated nodes yields the same matrix, bit for bit.
+  constexpr std::size_t kDropped = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> index(node_count_, kDropped);
+  std::size_t order = 0;
+  for (std::size_t u = 0; u < node_count_; ++u) {
+    if (u != t && reach[u]) index[u] = order++;
   }
-  Matrix lg(n - 1, n - 1);
-  for (std::size_t r = 0; r < n; ++r) {
-    if (r == t) continue;
-    for (std::size_t c = 0; c < n; ++c) {
-      if (c == t) continue;
-      lg(reduced[r], reduced[c]) = l(r, c);
-    }
-  }
-  std::vector<double> rhs(n - 1, 0.0);
-  rhs[reduced[s]] = 1.0;
-
-  // The grounded Laplacian restricted to the component of s is SPD; if the
-  // network has other disconnected nodes the full grounded matrix is
-  // singular, so restrict to nodes reachable from s or t first.
-  // (Connectivity of s,t was checked; unreachable nodes have zero rows.)
-  // Drop isolated/unreachable rows to keep the solver happy.
-  std::vector<std::vector<std::size_t>> adj(n);
+  Matrix grounded(order, order);
   for (const Resistor& r : resistors_) {
-    adj[r.a].push_back(r.b);
-    adj[r.b].push_back(r.a);
-  }
-  std::vector<bool> reach(n, false);
-  std::vector<std::size_t> stack{s};
-  reach[s] = true;
-  while (!stack.empty()) {
-    const std::size_t u = stack.back();
-    stack.pop_back();
-    for (std::size_t v : adj[u]) {
-      if (!reach[v]) {
-        reach[v] = true;
-        stack.push_back(v);
-      }
+    if (!reach[r.a]) continue;  // outside the component of s
+    const double g = 1.0 / r.resistance;
+    const std::size_t a = index[r.a];
+    const std::size_t b = index[r.b];
+    if (a != kDropped) grounded(a, a) += g;
+    if (b != kDropped) grounded(b, b) += g;
+    if (a != kDropped && b != kDropped) {
+      grounded(a, b) -= g;
+      grounded(b, a) -= g;
     }
   }
-  std::vector<std::size_t> keep;  // reduced indices to keep
-  for (std::size_t u = 0; u < n; ++u) {
-    if (u != t && reach[u]) keep.push_back(reduced[u]);
-  }
-  Matrix lk(keep.size(), keep.size());
-  std::vector<double> rhsk(keep.size());
-  for (std::size_t r = 0; r < keep.size(); ++r) {
-    rhsk[r] = rhs[keep[r]];
-    for (std::size_t c = 0; c < keep.size(); ++c) {
-      lk(r, c) = lg(keep[r], keep[c]);
-    }
-  }
+  std::vector<double> rhs(order, 0.0);
+  rhs[index[s]] = 1.0;
 
-  auto chol = CholeskyFactorization::Compute(lk);
-  std::vector<double> v;
-  if (chol) {
-    v = chol->Solve(rhsk);
-  } else {
-    v = SolveLinearSystem(lk, rhsk);  // fallback (shouldn't happen for SPD)
-  }
+  auto chol = CholeskyFactorization::Compute(grounded);
+  const std::vector<double> v =
+      chol ? chol->Solve(rhs)
+           : SolveLinearSystem(grounded, rhs);  // fallback (shouldn't happen for SPD)
   // v[s] is the potential at s with 1 A injected at s and extracted at the
   // grounded t, i.e. the effective resistance.
-  for (std::size_t r = 0; r < keep.size(); ++r) {
-    if (keep[r] == reduced[s]) {
-      return v[r];
-    }
-  }
-  CS_UNREACHABLE("source vanished from reduced system");
+  return v[index[s]];
 }
 
 Matrix AllPairsEffectiveResistance(const ResistorNetwork& network) {

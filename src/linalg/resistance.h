@@ -32,18 +32,24 @@ class ResistorNetwork {
   [[nodiscard]] std::size_t node_count() const { return node_count_; }
   [[nodiscard]] const std::vector<Resistor>& resistors() const { return resistors_; }
 
-  /// Weighted graph Laplacian L (conductance matrix).
+  /// Weighted graph Laplacian L (conductance matrix), dense N x N. Only the
+  /// all-pairs oracle below uses it; the per-pair solve never builds it.
   [[nodiscard]] Matrix Laplacian() const;
 
   /// Effective resistance between s and t.  Requires that s and t are in the
   /// same connected component (checked; throws ContractError otherwise).
-  /// Solves the grounded Laplacian system L' v = e_s with node t removed.
+  /// Solves L' v = e_s, where L' is the Laplacian of the component of s with
+  /// node t grounded, assembled directly at the component's size; nodes
+  /// outside that component cost nothing beyond one reachability pass.
   [[nodiscard]] double EffectiveResistance(std::size_t s, std::size_t t) const;
 
   /// True if s and t are connected through resistors.
   [[nodiscard]] bool Connected(std::size_t s, std::size_t t) const;
 
  private:
+  /// Per-node flags: reachable from s through resistors.
+  [[nodiscard]] std::vector<bool> ReachableFrom(std::size_t s) const;
+
   std::size_t node_count_;
   std::vector<Resistor> resistors_;
 };

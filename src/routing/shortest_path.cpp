@@ -42,20 +42,33 @@ std::vector<NextHop> ShortestPathRouting::NextHops(SwitchId current, SwitchId de
 }
 
 std::vector<LinkId> ShortestPathRouting::LinksOnMinimalPaths(SwitchId s, SwitchId t) const {
+  CS_CHECK(s < graph_->switch_count() && t < graph_->switch_count(), "switch out of range");
   std::vector<LinkId> result;
   if (s == t) return result;
-  const auto& dist_b = dist_[t];
-  const auto& dist_f = dist_[s];  // symmetric BFS distances
-  const std::size_t total = dist_b[s];
-  CS_CHECK(total != kUnreachable, "unreachable destination");
-  for (LinkId l = 0; l < graph_->link_count(); ++l) {
-    const topo::Link& link = graph_->link(l);
-    const bool forward = dist_f[link.a] + 1 + dist_b[link.b] == total;
-    const bool backward = dist_f[link.b] + 1 + dist_b[link.a] == total;
-    if (forward || backward) {
-      result.push_back(l);
+  const auto& dist = dist_[t];
+  CS_CHECK(dist[s] != kUnreachable, "unreachable destination");
+  // Walk dist_[t] downhill from s one level at a time: a link lies on a
+  // shortest path iff it steps from a switch reachable this way to a
+  // neighbour exactly one hop closer to t. Each link is met once, from its
+  // end farther from t, so sorting is all the result needs.
+  std::vector<SwitchId> level{s};
+  std::vector<SwitchId> next;
+  while (dist[level.front()] > 0) {
+    next.clear();
+    for (const SwitchId u : level) {
+      for (LinkId l : graph_->incident_links(u)) {
+        const SwitchId v = graph_->OtherEnd(l, u);
+        if (dist[v] + 1 == dist[u]) {
+          result.push_back(l);
+          next.push_back(v);
+        }
+      }
     }
+    std::sort(next.begin(), next.end());
+    next.erase(std::unique(next.begin(), next.end()), next.end());
+    level.swap(next);
   }
+  std::sort(result.begin(), result.end());
   return result;
 }
 

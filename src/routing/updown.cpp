@@ -208,57 +208,39 @@ std::vector<LinkId> UpDownRouting::LinksOnMinimalPaths(SwitchId s, SwitchId t) c
   std::vector<LinkId> result;
   if (s == t) return result;
   const SwitchGraph& g = *graph_;
-  const std::size_t n = g.switch_count();
-  const auto& dist_b = dist_to_dest_[t];
+  const auto& dist = dist_to_dest_[t];
+  CS_CHECK(dist[StateIndex(s, Phase::kUp)] != kUnreachable, "unreachable destination");
 
-  // Forward distances from (s, kUp).
-  std::vector<std::size_t> dist_f(2 * n, kUnreachable);
-  std::deque<std::size_t> queue;
-  dist_f[StateIndex(s, Phase::kUp)] = 0;
-  queue.push_back(StateIndex(s, Phase::kUp));
-  while (!queue.empty()) {
-    const std::size_t state = queue.front();
-    queue.pop_front();
-    const SwitchId u = state / 2;
-    const Phase pu = static_cast<Phase>(state % 2);
-    for (LinkId l : g.incident_links(u)) {
-      const SwitchId v = g.OtherEnd(l, u);
-      const bool up_traversal = (up_end_[l] == v);
-      if (up_traversal && pu == Phase::kDown) continue;
-      const Phase pv = up_traversal ? Phase::kUp : Phase::kDown;
-      const std::size_t nxt = StateIndex(v, pv);
-      if (dist_f[nxt] == kUnreachable) {
-        dist_f[nxt] = dist_f[state] + 1;
-        queue.push_back(nxt);
-      }
-    }
-  }
-
-  const std::size_t total = dist_b[StateIndex(s, Phase::kUp)];
-  CS_CHECK(total != kUnreachable, "unreachable destination");
-
-  // A transition (u,pu) -> (v,pv) over link l lies on a minimal legal path
-  // iff dist_f(u,pu) + 1 + dist_b(v,pv) == total.
-  std::vector<bool> on_path(g.link_count(), false);
-  for (SwitchId u = 0; u < n; ++u) {
-    for (Phase pu : {Phase::kUp, Phase::kDown}) {
-      const std::size_t df = dist_f[StateIndex(u, pu)];
-      if (df == kUnreachable) continue;
+  // A transition (u,pu) -> (v,pv) lies on a minimal legal path iff it is
+  // reachable from (s,kUp) by steps that each lower dist_to_dest_[t] by
+  // exactly one (equivalently dist_f(u,pu) + 1 + dist(v,pv) == total).
+  // Descend one distance level at a time: every state of a level shares
+  // its distance, so deduplicating within the level suffices, and the work
+  // stays proportional to the path subgraph rather than to the network.
+  std::vector<std::size_t> level{StateIndex(s, Phase::kUp)};
+  std::vector<std::size_t> next;
+  while (dist[level.front()] > 0) {
+    next.clear();
+    for (const std::size_t state : level) {
+      const SwitchId u = state / 2;
+      const Phase pu = static_cast<Phase>(state % 2);
       for (LinkId l : g.incident_links(u)) {
         const SwitchId v = g.OtherEnd(l, u);
         const bool up_traversal = (up_end_[l] == v);
         if (up_traversal && pu == Phase::kDown) continue;
-        const Phase pv = up_traversal ? Phase::kUp : Phase::kDown;
-        const std::size_t db = dist_b[StateIndex(v, pv)];
-        if (db != kUnreachable && df + 1 + db == total) {
-          on_path[l] = true;
+        const std::size_t there = StateIndex(v, up_traversal ? Phase::kUp : Phase::kDown);
+        if (dist[there] != kUnreachable && dist[there] + 1 == dist[state]) {
+          result.push_back(l);
+          next.push_back(there);
         }
       }
     }
+    std::sort(next.begin(), next.end());
+    next.erase(std::unique(next.begin(), next.end()), next.end());
+    level.swap(next);
   }
-  for (LinkId l = 0; l < g.link_count(); ++l) {
-    if (on_path[l]) result.push_back(l);
-  }
+  std::sort(result.begin(), result.end());
+  result.erase(std::unique(result.begin(), result.end()), result.end());
   return result;
 }
 

@@ -200,7 +200,10 @@ svc::MultilevelKnobs MultilevelKnobsFromArgs(const Args& args) {
 int CmdScheduleMultilevel(const Args& args, const topo::SwitchGraph& graph) {
   const svc::MultilevelKnobs knobs = MultilevelKnobsFromArgs(args);
   const route::UpDownRouting routing(graph);
-  // hops skips the O(N^3)-ish resistance solve — required for 1k+ switches.
+  // hops skips the per-pair resistance solves, whose cost grows with each
+  // pair's minimal-path subgraph: fine on 1k-switch irregular nets, too
+  // slow on 10^3 tori, where some pairs' minimal paths cover the whole
+  // fabric.
   const dist::DistanceTable table = knobs.distance == "hops"
                                         ? dist::DistanceTable::BuildGraphHops(graph)
                                         : dist::DistanceTable::Build(routing);
@@ -680,7 +683,8 @@ int Usage() {
       "             --multilevel maps a generated process graph instead:\n"
       "             --procs N processes, --pattern ring|grid|random,\n"
       "             --pattern-seed S, --coarsen-target N, --refine-budget B,\n"
-      "             --distance resistance|hops (hops scales to 1k+ switches)\n"
+      "             --distance resistance|hops (hops for large tori: resistance\n"
+      "             cost grows with each pair's minimal-path subgraph)\n"
       "  simulate   load sweep for a mapping (--mapping op|random|blocked,\n"
       "             --parallel-seeds for the op search, --vcs V,\n"
       "             --adaptive, --duato, --points P, --max-rate R,\n"
