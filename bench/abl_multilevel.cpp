@@ -11,6 +11,7 @@
 //     seconds wall-clock).
 #include <benchmark/benchmark.h>
 
+#include "bench_util.h"
 #include "core/commsched.h"
 
 namespace {
@@ -91,16 +92,23 @@ void BM_Multilevel100k(benchmark::State& state) {
 BENCHMARK(BM_Multilevel100k)->Unit(benchmark::kMillisecond);
 
 /// The same pipeline at a mid scale, engine refinement included (the
-/// coarsest graph fits the SearchEngine here).
+/// coarsest graph fits the SearchEngine here). exact_fraction is the share
+/// of the engine's scanned candidates scored with an exact SwapCost (the
+/// rest were settled by their bounds): a count, so it holds on any machine.
 void BM_Multilevel10k(benchmark::State& state) {
   const topo::SwitchGraph fabric = topo::MakeTorus3D(6, 6, 6, 64);
   const dist::DistanceTable table = dist::DistanceTable::BuildGraphHops(fabric);
   const qual::CommGraph processes = work::MakeGridComm(10000);
+  const bench::ObsDelta obs_delta;
   for (auto _ : state) {
     const sched::ml::MultilevelResult result =
         sched::ml::MapMultilevel(processes, table, 64, {});
     benchmark::DoNotOptimize(result.cost);
   }
+  state.counters["exact_fraction"] = benchmark::Counter(
+      obs_delta.Rate("search.multilevel.exact_evaluations", "search.multilevel.evaluations"));
+  state.counters["scanned"] = benchmark::Counter(
+      static_cast<double>(obs_delta.Delta("search.multilevel.evaluations")));
 }
 BENCHMARK(BM_Multilevel10k)->Unit(benchmark::kMillisecond);
 

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
     table.set_precision(3);
     for (std::size_t k = 0; k < eval.sweep.points.size(); ++k) {
       const sim::SweepPoint& p = eval.sweep.points[k];
-      table.AddRow({std::string("S") + std::to_string(k + 1), p.offered_rate,
+      table.AddRow({std::string("S").append(std::to_string(k + 1)), p.offered_rate,
                     p.metrics.accepted_flits_per_switch_cycle, p.metrics.avg_latency_cycles,
                     std::string(p.metrics.Saturated() ? "yes" : "no")});
     }

@@ -42,7 +42,7 @@ int main() {
       if (spread < 1e-9) return 0.0;
       return stats::PearsonCorrelation(cc, y);
     };
-    table.AddRow({std::string("S") + std::to_string(k + 1),
+    table.AddRow({std::string("S").append(std::to_string(k + 1)),
                   result.mappings.front().sweep.points[k].offered_rate, safe_corr(accepted),
                   safe_corr(latency)});
   }

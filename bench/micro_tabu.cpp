@@ -36,8 +36,14 @@ void BM_TabuSearchPaperSchedule(benchmark::State& state) {
       benchmark::Counter(bench::HistogramPercentile("search.tabu.seed_iters", 0.50));
   state.counters["seed_iters_p99"] =
       benchmark::Counter(bench::HistogramPercentile("search.tabu.seed_iters", 0.99));
+  // Share of scanned candidates scored with an exact SwapCost; the rest were
+  // settled by their O(1) bounds. A count, so it holds on any machine.
+  state.counters["exact_fraction"] = benchmark::Counter(
+      obs_delta.Rate("search.tabu.exact_evaluations", "search.tabu.evaluations"));
+  state.counters["scanned"] =
+      benchmark::Counter(static_cast<double>(obs_delta.Delta("search.tabu.evaluations")));
 }
-BENCHMARK(BM_TabuSearchPaperSchedule)->Arg(16)->Arg(24)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TabuSearchPaperSchedule)->Arg(16)->Arg(24)->Arg(96)->Unit(benchmark::kMillisecond);
 
 void BM_TabuSearchParallelSeeds(benchmark::State& state) {
   const dist::DistanceTable table = Table(24);

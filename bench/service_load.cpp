@@ -45,7 +45,7 @@ std::string ScheduleRequest(std::uint64_t id, std::uint64_t topo_seed, std::size
   topology.Field("switches", static_cast<std::uint64_t>(switches));
   topology.Field("seed", topo_seed);
   svc::JsonObjectWriter request;
-  request.Field("id", "s" + std::to_string(id));
+  request.Field("id", std::string("s").append(std::to_string(id)));
   request.Field("op", "schedule");
   request.Raw("topology", topology.Finish());
   request.Field("apps", static_cast<std::uint64_t>(4));
@@ -55,7 +55,7 @@ std::string ScheduleRequest(std::uint64_t id, std::uint64_t topo_seed, std::size
 
 std::string PingRequest(std::uint64_t id) {
   svc::JsonObjectWriter request;
-  request.Field("id", "p" + std::to_string(id));
+  request.Field("id", std::string("p").append(std::to_string(id)));
   request.Field("op", "ping");
   return request.Finish();
 }
@@ -239,7 +239,7 @@ void BM_ServiceBatchVsSingles(benchmark::State& state) {
   std::vector<std::string> frames;
   for (int i = 0; i < 8; ++i) {
     singles.insert(singles.end(), base.begin(), base.end());
-    frames.push_back(BatchFrame("f" + std::to_string(i), base));
+    frames.push_back(BatchFrame(std::string("f").append(std::to_string(i)), base));
   }
   svc::SchedulingService service;
   ServeBatch(service, base, size);  // warm the model/result caches

@@ -43,7 +43,9 @@ int main() {
   for (const Case& c : cases) {
     const EtcMatrix etc = EtcMatrix::Generate(c.options);
     const auto results = RunAllHeuristics(etc);
-    std::vector<TableCell> row{c.name};
+    std::vector<TableCell> row;
+    row.reserve(results.size() + 1);
+    row.emplace_back(std::in_place_type<std::string>, c.name);
     for (const auto& [name, schedule] : results) {
       row.push_back(schedule.makespan);
     }

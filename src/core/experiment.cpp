@@ -54,7 +54,7 @@ ExperimentResult RunPaperExperiment(const topo::SwitchGraph& graph,
     const work::ProcessMapping mapping = work::ProcessMapping::RandomAligned(graph, workload, rng);
     sched::ScheduleOutcome eval = scheduler.Evaluate(workload, mapping);
     MappingEvaluation r;
-    r.label = "R" + std::to_string(k + 1);
+    r.label = std::string("R").append(std::to_string(k + 1));
     r.partition = eval.partition;
     r.fg = eval.fg;
     r.dg = eval.dg;

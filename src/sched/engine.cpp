@@ -80,6 +80,8 @@ SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) cons
                      .F("fg", objective.TraceFg()));
   }
 
+  std::vector<SwapCostRange> scratch(n);  // a row for SwapCostBounds to fill
+
   // tabu_until[a][b]: iteration before which swapping (a,b) is forbidden.
   std::vector<std::vector<std::size_t>> tabu_until;
   if (rules_.use_tabu) {
@@ -118,15 +120,43 @@ SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) cons
     std::pair<std::size_t, std::size_t> up_move{n, n};
     bool any_decrease_exists = false;  // decreasing swap exists, tabu or not
 
-    for (std::size_t a = 0; a < n; ++a) {
-      for (std::size_t b = a + 1; b < n; ++b) {
-        if (objective.partition().ClusterOf(a) == objective.partition().ClusterOf(b)) continue;
-        const double cost = objective.SwapCost(a, b);
-        ++run.result.evaluations;
-        if (!std::isfinite(cost)) continue;  // inadmissible (e.g. over budget)
-        if (cost < reference - kSearchEps) any_decrease_exists = true;
+    // The thresholds every decision below compares a cost against. A
+    // candidate whose bounds straddle none of them cannot change the scan's
+    // state (beyond proving a decrease exists), so its exact cost is skipped.
+    const double decrease_below = reference - kSearchEps;
+    const double escape_above = reference + kSearchEps;
+    const bool margin = rules_.down == ScanRules::Down::kDeltaMargin;
+    double replace_below = margin ? best_down - kSearchEps : best_down;
 
-        if (rules_.use_tabu && tabu_until[a][b] > iteration) {
+    // The partition only changes in Apply, after the scan.
+    const std::vector<std::size_t>& cluster_of = objective.partition().cluster_of_switch();
+    for (std::size_t a = 0; a < n; ++a) {
+      const std::size_t cluster_a = cluster_of[a];
+      const SwapCostRange* bounds = objective.SwapCostBounds(a, scratch.data());
+      for (std::size_t b = a + 1; b < n; ++b) {
+        if (cluster_of[b] == cluster_a) continue;
+        ++run.result.evaluations;
+        const SwapCostRange range = bounds[b];
+        if (std::isnan(range.lo)) continue;  // inadmissible (e.g. over capacity)
+        const bool tabu = rules_.use_tabu && tabu_until[a][b] > iteration;
+        double cost = range.lo;
+        if (range.lo != range.hi) {
+          const bool straddles =
+              tabu || range.lo < replace_below ||
+              (rules_.allow_escape && range.hi > escape_above && range.lo < best_up) ||
+              (!any_decrease_exists && range.lo < decrease_below &&
+               !(range.hi < decrease_below));
+          if (!straddles) {
+            if (range.hi < decrease_below) any_decrease_exists = true;
+            continue;
+          }
+          cost = objective.SwapCost(a, b);
+        }
+        ++run.exact_evaluations;
+        if (!std::isfinite(cost)) continue;
+        if (cost < decrease_below) any_decrease_exists = true;
+
+        if (tabu) {
           // Aspiration: a tabu move may still be taken if it would beat the
           // best mapping this seed has seen.
           if (options_.aspiration &&
@@ -137,15 +167,13 @@ SeedRun SearchEngine::RunSeed(Objective& objective, std::size_t seed_index) cons
             continue;
           }
         }
-        const bool replace = rules_.down == ScanRules::Down::kDeltaMargin
-                                 ? cost < best_down - kSearchEps
-                                 : cost < best_down;
-        if (replace) {
+        if (cost < replace_below) {
           best_down = cost;
+          replace_below = margin ? best_down - kSearchEps : best_down;
           down_move = {a, b};
           down_found = true;
         }
-        if (rules_.allow_escape && cost > reference + kSearchEps && cost < best_up) {
+        if (rules_.allow_escape && cost > escape_above && cost < best_up) {
           best_up = cost;
           up_move = {a, b};
         }
@@ -225,6 +253,7 @@ void SearchEngine::FlushSeedObservability(const SeedRun& run, std::size_t seed_i
   registry.GetCounter(family + "seeds").Add(1);
   registry.GetCounter(family + "moves").Add(run.result.iterations);
   registry.GetCounter(family + "evaluations").Add(run.result.evaluations);
+  registry.GetCounter(family + "exact_evaluations").Add(run.exact_evaluations);
   registry.GetCounter(family + "tabu_hits").Add(run.tabu_hits);
   registry.GetCounter(family + "aspirations").Add(run.aspirations);
   registry.GetCounter(family + "escapes").Add(run.escapes);
@@ -285,6 +314,7 @@ SearchResult RunMultiStart(const DistanceTable& table, const MultiStartSpec& spe
       combined.best_dg = run.result.best_dg;
       combined.best_cc = run.result.best_cc;
       combined.moved_from_anchor = run.result.moved_from_anchor;
+      combined.best_seed = s;
       combined_key = key;
     }
   }
@@ -374,6 +404,27 @@ TabuObjective::TabuObjective(const DistanceTable& table, const Partition& start,
   move_cost_ = anchor_ != nullptr ? migration_penalty / static_cast<double>(n) : 0.0;
   fg_scale_ = eval_.FgAfterDelta(1.0) - eval_.FgAfterDelta(0.0);
   moved_ = anchor_ != nullptr ? CountMovedFromAnchor(start, *anchor_) : 0;
+  clusters_ = start.cluster_count();
+  cluster_sums_.assign(n * clusters_, 0.0);
+  for (std::size_t c = 0; c < clusters_; ++c) RecomputeClusterSums(c);
+}
+
+void TabuObjective::RecomputeClusterSums(std::size_t cluster) {
+  const DistanceTable& table = eval_.table();
+  const Partition& partition = eval_.partition();
+  const std::size_t n = partition.switch_count();
+  members_.clear();
+  for (std::size_t s = 0; s < n; ++s) {
+    if (partition.ClusterOf(s) == cluster) members_.push_back(s);
+  }
+  for (std::size_t x = 0; x < n; ++x) {
+    double sum = 0.0;
+    for (const std::size_t s : members_) {
+      const double d = table(x, s);
+      if (s != x) sum += d * d;
+    }
+    cluster_sums_[x * clusters_ + cluster] = sum;
+  }
 }
 
 int TabuObjective::SwapDMoved(std::size_t a, std::size_t b) const {
@@ -387,7 +438,36 @@ int TabuObjective::SwapDMoved(std::size_t a, std::size_t b) const {
 }
 
 double TabuObjective::SwapCost(std::size_t a, std::size_t b) {
-  return eval_.SwapDelta(a, b) * fg_scale_ + move_cost_ * static_cast<double>(SwapDMoved(a, b));
+  return CostOf(eval_.SwapDelta(a, b), SwapDMoved(a, b));
+}
+
+const SwapCostRange* TabuObjective::SwapCostBounds(std::size_t a, SwapCostRange* scratch) {
+  const DistanceTable& table = eval_.table();
+  const std::vector<std::size_t>& cluster_of = eval_.partition().cluster_of_switch();
+  const std::size_t n = cluster_of.size();
+  const double error_terms = static_cast<double>(n + 8);
+  const std::size_t ca = cluster_of[a];
+  const double* sa = &cluster_sums_[a * clusters_];
+  for (std::size_t b = a + 1; b < n; ++b) {
+    const std::size_t cb = cluster_of[b];
+    if (cb == ca) continue;
+    const double* sb = &cluster_sums_[b * clusters_];
+    const double tab = table(a, b);
+    const double tba = table(b, a);
+    const double pair = tab * tab + tba * tba;
+    const double approx = (sb[ca] - sa[ca]) + (sa[cb] - sb[cb]) - pair;
+    const double magnitude = sa[ca] + sa[cb] + sb[ca] + sb[cb] + pair;
+    const double width = SwapDeltaErrorBound(magnitude, error_terms);
+    const int d_moved = SwapDMoved(a, b);
+    // CostOf is non-decreasing in the delta (fg_scale_ >= 0, as FgAfterDelta
+    // is) and rounding is monotone, so the delta's enclosure maps to the
+    // cost's.
+    scratch[b] = {CostOf(approx - width, d_moved), CostOf(approx + width, d_moved)};
+    if (!std::isfinite(scratch[b].lo) || !std::isfinite(scratch[b].hi)) {
+      scratch[b] = ExactRange(SwapCost(a, b));  // overflow or a degenerate table
+    }
+  }
+  return scratch;
 }
 
 double TabuObjective::Value() const {
@@ -400,7 +480,11 @@ double TabuObjective::AspirantValue(double cost, double current_value) {
 
 void TabuObjective::Apply(std::size_t a, std::size_t b) {
   moved_ = static_cast<std::size_t>(static_cast<long long>(moved_) + SwapDMoved(a, b));
+  const std::size_t ca = eval_.partition().ClusterOf(a);
+  const std::size_t cb = eval_.partition().ClusterOf(b);
   eval_.ApplySwap(a, b);
+  RecomputeClusterSums(ca);
+  RecomputeClusterSums(cb);
 }
 
 void TabuObjective::FinalizeSeed(SearchResult& result) const {

@@ -27,18 +27,32 @@
 // mapping wins a tie. ScanRules pins each searcher to its historical rule
 // so ported searchers stay bit-identical to the pre-refactor code.
 //
+// The neighbourhood scan is filtered: it visits every inter-cluster pair in
+// the legacy order and counts each in `evaluations`, but asks the objective
+// for SwapCost only where the pair's SwapCostBounds interval straddles a
+// threshold of the scan state (best_down under the preset's rule,
+// reference ± kSearchEps, the running best_up) or the pair is tabu. Every
+// decision is thus taken on the same exact value in the same order as an
+// unfiltered scan. The default bounds are the exact cost, so only adapters
+// that override SwapCostBounds (TabuObjective; the multilevel
+// SparseQapObjective) skip work; their enclosures come from the stated error
+// bound SwapDeltaErrorBound (DESIGN.md §9, "The scan filter").
+//
 // To add a new objective: implement Objective over an incremental evaluator
-// (SwapCost must be O(cluster size), not a full recompute). Dense F_G
-// variants all use the one evaluator, qual::SwapEvaluator, configured with
-// per-cluster intensities and/or a pair weight matrix. Then pick the
-// ScanRules preset whose tie-breaking you want, and drive it either through
-// SearchEngine::RunSeed (one walk) or RunMultiStart (seeded restarts with
-// optional ThreadPool parallelism).
+// (SwapCost prices a delta, never a full recompute; it may stay O(cluster
+// size) when SwapCostBounds is O(1)). Dense F_G variants all use the one
+// evaluator, qual::SwapEvaluator, configured with per-cluster intensities
+// and/or a pair weight matrix. Then pick the ScanRules preset whose
+// tie-breaking you want, and drive it either through SearchEngine::RunSeed
+// (one walk) or RunMultiStart (seeded restarts with optional ThreadPool
+// parallelism).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -68,6 +82,22 @@ struct EngineOptions {
   bool parallel_seeds = false;        // ThreadPool over seeds
 };
 
+/// Enclosure of one SwapCost value: lo <= SwapCost(a, b) <= hi, where the
+/// comparison is on the doubles SwapCost would return. Both NaN marks the
+/// swap inadmissible (exactly when SwapCost would be non-finite).
+struct SwapCostRange {
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
+inline constexpr double kInadmissible = std::numeric_limits<double>::quiet_NaN();
+
+/// The degenerate enclosure of an exactly known cost.
+[[nodiscard]] inline SwapCostRange ExactRange(double cost) {
+  if (!std::isfinite(cost)) return {kInadmissible, kInadmissible};
+  return {cost, cost};
+}
+
 /// A search objective over partitions. The engine only ever talks to the
 /// walk through this interface; the adapters below all wrap the one
 /// incremental evaluator, qual::SwapEvaluator (plain, intensity- or
@@ -82,6 +112,25 @@ class Objective {
   /// Return a non-finite value to mark the swap inadmissible (e.g. the
   /// repair objective's migration budget).
   virtual double SwapCost(std::size_t a, std::size_t b) = 0;
+
+  /// Rigorous bounds on SwapCost(a, b) for every b in (a, N) whose cluster
+  /// differs from a's: entry b of the returned row (the other entries are
+  /// never read). An adapter fills `scratch` (N entries) and returns it, or
+  /// returns a row it keeps itself. The scan pays for SwapCost only where
+  /// an interval straddles a threshold of its state. An override must
+  /// enclose the exact bits (a stated floating-point error bound, not a
+  /// tolerance) and return NaN exactly where SwapCost is non-finite. One
+  /// call per row, not per pair, so an adapter pays its per-a set-up once
+  /// per row. The default is the exact cost as both bounds, so a
+  /// non-overriding objective scans exactly as if no filter existed.
+  virtual const SwapCostRange* SwapCostBounds(std::size_t a, SwapCostRange* scratch) {
+    const std::vector<std::size_t>& cluster_of = partition().cluster_of_switch();
+    for (std::size_t b = a + 1; b < cluster_of.size(); ++b) {
+      if (cluster_of[b] == cluster_of[a]) continue;
+      scratch[b] = ExactRange(SwapCost(a, b));
+    }
+    return scratch;
+  }
 
   /// Current value of the mapping in the comparison space (used for
   /// best-so-far tracking and local-minimum detection).
@@ -137,6 +186,9 @@ struct SeedRun {
   std::uint64_t tabu_hits = 0;
   std::uint64_t aspirations = 0;
   std::uint64_t escapes = 0;
+  /// Candidates whose exact cost the scan knew: the bounds collapsed to one
+  /// value (as the default SwapCostBounds always does) or it paid SwapCost.
+  std::uint64_t exact_evaluations = 0;
 };
 
 /// The neighbourhood-scan walk: owns candidate scanning, the tabu list and
@@ -154,7 +206,8 @@ class SearchEngine {
   SeedRun RunSeed(Objective& objective, std::size_t seed_index) const;
 
   /// The single per-seed observability flush shared by every searcher:
-  /// search.<algo>.{seeds,moves,evaluations,tabu_hits,aspirations,escapes},
+  /// search.<algo>.{seeds,moves,evaluations,exact_evaluations,tabu_hits,
+  /// aspirations,escapes},
   /// the seed_iters histogram, and the search.seed_done trace event.
   void FlushSeedObservability(const SeedRun& run, std::size_t seed_index) const;
 
@@ -268,15 +321,39 @@ class EvaluatorObjective : public Objective {
   qual::SwapEvaluator eval_;
 };
 
+/// Half-width of a swap delta's enclosure. Both the exact delta and the
+/// O(1) approximation are sums of at most `terms` rounded products and
+/// differences whose magnitudes add up to at most `magnitude`, so each lies
+/// within γ_K·magnitude of the real-number delta (γ_K = K·u / (1 − K·u),
+/// u = 2^-53, K = terms; Higham, Accuracy and Stability of Numerical
+/// Algorithms, §3.1 and §4.2). 4·K·u covers both errors (2·γ_K) with room
+/// for rounding the bound itself and the final lo/hi subtraction. Gradual
+/// underflow adds at most half a subnormal step per operation; K times the
+/// smallest *normal* double covers that without ever computing with
+/// subnormals (which cost a microcode assist per operation on x86).
+[[nodiscard]] inline double SwapDeltaErrorBound(double magnitude, double terms) {
+  constexpr double kUnitRoundoff = std::numeric_limits<double>::epsilon() / 2.0;
+  return 4.0 * terms * kUnitRoundoff * magnitude + terms * std::numeric_limits<double>::min();
+}
+
 /// Plain F_G (§4.2) with an optional migration-anchored penalty: minimizes
 /// F_G + migration_penalty * moved / N against `anchor`. With no anchor the
 /// migration machinery reduces to plain F_G minimization (deltas all zero).
+///
+/// SwapCostBounds is O(1) per pair from per-switch, per-cluster sums
+/// S(x, C) = Σ_{s∈C, s≠x} T_xs² (Taillard's delta matrix): the swap delta is
+/// S(b,A) − S(a,A) + S(a,B) − S(b,B) − T_ab² − T_ba², enclosed with
+/// SwapDeltaErrorBound over the five sums' total, then mapped through the
+/// same monotone scale-and-migration step SwapCost uses. Apply recomputes
+/// the two touched columns from scratch (O(N·(|A|+|B|))), so the bound is
+/// static.
 class TabuObjective final : public EvaluatorObjective {
  public:
   TabuObjective(const DistanceTable& table, const Partition& start, const Partition* anchor,
                 double migration_penalty);
 
   double SwapCost(std::size_t a, std::size_t b) override;
+  const SwapCostRange* SwapCostBounds(std::size_t a, SwapCostRange* scratch) override;
   [[nodiscard]] double Value() const override;
   [[nodiscard]] double AspirantValue(double cost, double current_value) override;
   void Apply(std::size_t a, std::size_t b) override;
@@ -284,11 +361,20 @@ class TabuObjective final : public EvaluatorObjective {
 
  private:
   [[nodiscard]] int SwapDMoved(std::size_t a, std::size_t b) const;
+  /// SwapCost from a delta: one definition for the exact cost and both bounds.
+  [[nodiscard]] double CostOf(double delta, int d_moved) const {
+    return delta * fg_scale_ + move_cost_ * static_cast<double>(d_moved);
+  }
+  /// Recomputes column `cluster` of cluster_sums_ for every switch.
+  void RecomputeClusterSums(std::size_t cluster);
 
   const Partition* anchor_;
   double move_cost_ = 0.0;
   double fg_scale_ = 0.0;  // F_G is affine in the intra sum
   std::size_t moved_ = 0;
+  std::size_t clusters_ = 0;
+  std::vector<double> cluster_sums_;  // N x clusters_: S(x, C)
+  std::vector<std::size_t> members_;  // scratch for RecomputeClusterSums
 };
 
 /// Traffic-weighted F_G^w: the evaluator with a pair weight matrix. Value

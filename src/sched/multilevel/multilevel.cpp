@@ -8,82 +8,13 @@
 #include "common/rng.h"
 #include "sched/engine.h"
 #include "sched/multilevel/coarsen.h"
+#include "sched/multilevel/sparse_objective.h"
 
 namespace commsched::sched::ml {
 namespace {
 
 using qual::CommGraph;
 using qual::SparseQapEvaluator;
-
-/// Sparse-QAP objective for the coarsest-level SearchEngine walk. The
-/// engine's Partition is over coarse *vertices*; cluster c stands for the
-/// switch cluster_switch_[c] (only switches the start actually uses appear,
-/// relabelled contiguously as Partition requires). Swaps that would push a
-/// switch past its host capacity are inadmissible (non-finite SwapCost).
-class SparseQapObjective final : public Objective {
- public:
-  SparseQapObjective(const CommGraph& graph, const dist::DistanceTable& table,
-                     const std::vector<std::size_t>& assignment, std::size_t capacity)
-      : eval_(graph, table, assignment), capacity_(capacity) {
-    // Relabel used switches as contiguous cluster ids, ordered by switch id.
-    std::vector<std::size_t> used = assignment;
-    std::sort(used.begin(), used.end());
-    used.erase(std::unique(used.begin(), used.end()), used.end());
-    cluster_switch_ = used;
-    std::vector<std::size_t> cluster_of_switch(table.size(), 0);
-    for (std::size_t c = 0; c < used.size(); ++c) cluster_of_switch[used[c]] = c;
-    std::vector<std::size_t> cluster_of_vertex(assignment.size());
-    for (std::size_t v = 0; v < assignment.size(); ++v) {
-      cluster_of_vertex[v] = cluster_of_switch[assignment[v]];
-    }
-    partition_ = Partition(std::move(cluster_of_vertex));
-  }
-
-  double SwapCost(std::size_t a, std::size_t b) override {
-    const std::size_t sa = eval_.SwitchOf(a);
-    const std::size_t sb = eval_.SwitchOf(b);
-    const std::size_t size_a = eval_.graph().vertex_size(a);
-    const std::size_t size_b = eval_.graph().vertex_size(b);
-    if (size_a != size_b) {
-      if (eval_.load()[sa] - size_a + size_b > capacity_ ||
-          eval_.load()[sb] - size_b + size_a > capacity_) {
-        return std::numeric_limits<double>::quiet_NaN();
-      }
-    }
-    return eval_.SwapDelta(a, b);
-  }
-  [[nodiscard]] double Value() const override { return eval_.Cost(); }
-  [[nodiscard]] double TraceFg() const override { return eval_.NormalizedCost(); }
-  [[nodiscard]] double AspirantValue(double cost, double current_value) override {
-    return current_value + cost;
-  }
-  void Apply(std::size_t a, std::size_t b) override {
-    eval_.ApplySwap(a, b);
-    partition_.Swap(a, b);
-  }
-  [[nodiscard]] const Partition& partition() const override { return partition_; }
-  void FinalizeSeed(SearchResult& result) const override {
-    result.best_fg = eval_.NormalizedCost();
-    result.best_dg = 0.0;
-    result.best_cc = 0.0;
-  }
-
-  /// Translates an engine partition (over coarse vertices) back into a
-  /// switch assignment.
-  [[nodiscard]] std::vector<std::size_t> ToAssignment(const Partition& partition) const {
-    std::vector<std::size_t> assignment(partition.switch_count());
-    for (std::size_t v = 0; v < assignment.size(); ++v) {
-      assignment[v] = cluster_switch_[partition.ClusterOf(v)];
-    }
-    return assignment;
-  }
-
- private:
-  SparseQapEvaluator eval_;
-  Partition partition_;
-  std::vector<std::size_t> cluster_switch_;  // cluster id -> switch id
-  std::size_t capacity_;
-};
 
 /// Capacity-aware greedy affinity placement: vertices in decreasing
 /// (size, weighted degree) order, each onto the switch minimizing the cost
@@ -306,12 +237,16 @@ MultilevelResult MapMultilevel(const CommGraph& processes, const dist::DistanceT
           options.engine_iterations != 0
               ? options.engine_iterations
               : std::clamp<std::size_t>(2 * coarsest.vertex_count(), 20, 200);
-      const SearchEngine engine("multilevel", engine_options, ScanRules::TabuMargin());
+      engine_options.parallel_seeds = options.parallel_seeds;
 
       // Per-seed starts derived up front: seed 0 is the greedy placement,
-      // later seeds perturb it with feasible random swaps.
-      double best_cost = std::numeric_limits<double>::infinity();
-      std::vector<std::size_t> best_assignment = assignment;
+      // later seeds perturb it with feasible random swaps. Swaps keep the
+      // set of used switches, so every seed shares one cluster labelling.
+      const std::vector<std::size_t> cluster_switch = UsedSwitches(assignment);
+      MultiStartSpec spec;
+      spec.algo = "multilevel";
+      spec.options = engine_options;
+      spec.starts.reserve(options.seeds);
       for (std::size_t k = 0; k < options.seeds; ++k) {
         std::vector<std::size_t> start = assignment;
         if (k > 0) {
@@ -327,19 +262,31 @@ MultilevelResult MapMultilevel(const CommGraph& processes, const dist::DistanceT
             std::swap(start[a], start[b]);
           }
         }
-        SparseQapObjective objective(coarsest, distances, start, capacity);
-        const SeedRun run = engine.RunSeed(objective, k);
-        engine.FlushSeedObservability(run, k);
-        ++result.engine_seeds;
-        result.engine_evaluations += run.result.evaluations;
-        if (run.best_value < best_cost - kSearchEps) {
-          best_cost = run.best_value;
-          best_assignment = objective.ToAssignment(run.result.best);
-          result.engine_iterations = run.result.iterations;
-        }
+        spec.starts.push_back(ToPartition(start, cluster_switch));
       }
-      assignment = std::move(best_assignment);
-      stats.cost_after = best_cost;
+
+      const SearchEngine engine("multilevel", engine_options, ScanRules::TabuMargin());
+      // Each seed writes only its own slots, so parallel seeds share nothing.
+      std::vector<std::size_t> seed_iterations(options.seeds);
+      std::vector<double> seed_best(options.seeds);
+      spec.run_seed = [&](const Partition& start, std::size_t seed) {
+        SparseQapObjective objective(coarsest, distances, cluster_switch, start, capacity);
+        SeedRun run = engine.RunSeed(objective, seed);
+        engine.FlushSeedObservability(run, seed);
+        seed_iterations[seed] = run.result.iterations;
+        seed_best[seed] = run.best_value;
+        return run;
+      };
+      spec.combine_key = [](const SeedRun& run) { return run.best_value; };
+      spec.finalize_combined = false;
+      spec.emit_done = false;
+      const SearchResult combined = RunMultiStart(distances, spec);
+
+      assignment = ToAssignment(combined.best, cluster_switch);
+      result.engine_seeds = options.seeds;
+      result.engine_evaluations = combined.evaluations;
+      result.engine_iterations = seed_iterations[combined.best_seed];
+      stats.cost_after = seed_best[combined.best_seed];
       stats.moves = result.engine_iterations;
     }
     result.level_stats.push_back(stats);

@@ -49,6 +49,10 @@ struct MultilevelOptions {
   /// most this many vertices (above it the greedy placement + per-level
   /// refinement carry the quality).
   std::size_t engine_max_vertices = 512;
+  /// Run the coarsest-level engine seeds on a ThreadPool. Starts are
+  /// derived up front and seeds combine in seed order, so the result is
+  /// identical either way.
+  bool parallel_seeds = false;
   std::uint64_t rng_seed = 1;
 };
 

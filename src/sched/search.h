@@ -38,6 +38,8 @@ struct SearchResult {
   /// Switches whose cluster differs from the anchor's (migration-aware
   /// searches only; 0 otherwise).
   std::size_t moved_from_anchor = 0;
+  /// Seed whose walk produced `best` (multi-start searches; 0 otherwise).
+  std::size_t best_seed = 0;
 };
 
 /// Fills best_fg / best_dg / best_cc of a result from its partition.

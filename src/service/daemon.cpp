@@ -293,43 +293,41 @@ int RunStdioServer(SchedulingService& service, const DaemonOptions& options, std
   return 0;
 }
 
-namespace {
-
-/// Buffered line reader over a file descriptor. EINTR is retried unless a
-/// drain was signalled (then it reads as EOF, mirroring stdio behaviour).
-class FdLineReader {
- public:
-  explicit FdLineReader(int fd) : fd_(fd) {}
-
-  bool NextLine(std::string& line) {
-    line.clear();
-    while (true) {
-      const std::size_t newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return true;
+bool FdLineReader::NextLine(std::string& line) {
+  line.clear();
+  while (true) {
+    const std::size_t newline = buffer_.find('\n', start_ + scanned_);
+    if (newline != std::string::npos) {
+      line.assign(buffer_, start_, newline - start_);
+      start_ = newline + 1;
+      scanned_ = 0;
+      if (start_ > buffer_.size() / 2) {  // compact: amortized O(1) per byte
+        buffer_.erase(0, start_);
+        start_ = 0;
       }
-      char chunk[4096];
-      const ssize_t got = ::read(fd_, chunk, sizeof(chunk));
-      if (got > 0) {
-        buffer_.append(chunk, static_cast<std::size_t>(got));
-        continue;
-      }
-      if (got < 0 && errno == EINTR && !DrainSignalled()) continue;
-      // EOF (or drain): serve any unterminated trailing line.
-      if (!buffer_.empty()) {
-        line.swap(buffer_);
-        return true;
-      }
-      return false;
+      return true;
     }
+    scanned_ = buffer_.size() - start_;
+    char chunk[4096];
+    const ssize_t got = ::read(fd_, chunk, sizeof(chunk));
+    if (got > 0) {
+      buffer_.append(chunk, static_cast<std::size_t>(got));
+      continue;
+    }
+    if (got < 0 && errno == EINTR && !DrainSignalled()) continue;
+    // EOF (or drain): serve any unterminated trailing line.
+    if (start_ < buffer_.size()) {
+      line.assign(buffer_, start_, std::string::npos);
+      buffer_.clear();
+      start_ = 0;
+      scanned_ = 0;
+      return true;
+    }
+    return false;
   }
+}
 
- private:
-  int fd_;
-  std::string buffer_;
-};
+namespace {
 
 /// Writes the whole buffer, retrying partial writes and EINTR.
 bool WriteAll(int fd, const std::string& data) {

@@ -140,6 +140,26 @@ void InstallDrainSignalHandlers();
 /// servers. Production servers never un-drain.
 void ResetDrainSignalForTesting();
 
+/// Buffered line reader over a file descriptor. EINTR is retried unless a
+/// drain was signalled (then it reads as EOF, mirroring stdio behaviour).
+/// Linear in the bytes read: the newline search resumes where the last one
+/// stopped, and consumed lines advance a read offset; the buffer is
+/// compacted only once that offset passes half of it.
+class FdLineReader {
+ public:
+  explicit FdLineReader(int fd) : fd_(fd) {}
+
+  /// Next line without its '\n'; at EOF an unterminated tail counts as a
+  /// line. False once nothing is left.
+  bool NextLine(std::string& line);
+
+ private:
+  int fd_;
+  std::string buffer_;
+  std::size_t start_ = 0;    // first unconsumed byte
+  std::size_t scanned_ = 0;  // bytes from start_ on known to hold no '\n'
+};
+
 /// Serves JSONL requests from `in` to `out` until EOF or a drain signal,
 /// then drains and returns 0. Response lines may be interleaved out of
 /// request order (match them by id).

@@ -188,6 +188,7 @@ sched::ml::MultilevelResult RunMultilevelSchedule(const dist::DistanceTable& tab
   options.seeds = knobs.seeds.value_or(4);
   options.engine_iterations = knobs.iterations.value_or(0);
   options.rng_seed = knobs.rng_seed;
+  options.parallel_seeds = knobs.parallel_seeds;
   return sched::ml::MapMultilevel(graph, table, hosts_per_switch, options);
 }
 

@@ -90,6 +90,9 @@ struct MultilevelKnobs {
   std::optional<std::size_t> iterations;  // coarsest engine iterations (0 = auto)
   std::uint64_t rng_seed = 1;
   std::string distance = "resistance";  // resistance|hops
+  /// Runs the coarsest engine seeds on a thread pool; the result is
+  /// identical either way, so it is not part of the memo key.
+  bool parallel_seeds = false;
 };
 
 /// Throws ConfigError on degenerate knobs (processes == 0, explicit zero

@@ -384,6 +384,7 @@ std::string SchedulingService::RunScheduleMultilevel(const Request& request) {
   knobs.iterations = request.iterations;
   knobs.rng_seed = request.search_seed;
   knobs.distance = request.distance;
+  knobs.parallel_seeds = request.parallel_seeds;
   const std::string canonical = CanonicalMultilevelKnobs(knobs);  // validates
 
   std::uint64_t model_hash = 0;

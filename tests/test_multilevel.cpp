@@ -20,6 +20,7 @@
 #include "routing/updown.h"
 #include "sched/multilevel/coarsen.h"
 #include "sched/scheduler.h"
+#include "topology/generator.h"
 #include "topology/library.h"
 #include "workload/procgen.h"
 
@@ -123,6 +124,44 @@ TEST(Multilevel, DeterministicInTheSeed) {
   options.rng_seed = 43;
   const MultilevelResult c = MapMultilevel(processes, table, 16, options);
   EXPECT_LE(c.max_load, 16u);  // a different seed is still feasible
+}
+
+TEST(Multilevel, ParallelSeedsMatchSerial) {
+  // Starts are derived up front and seeds combine in seed order, so running
+  // the coarsest-level seeds on a pool changes nothing, down to the bits.
+  topo::IrregularTopologyOptions irregular;
+  irregular.switch_count = 48;
+  const topo::SwitchGraph fabric = topo::GenerateIrregularTopology(irregular);
+  const dist::DistanceTable table = dist::DistanceTable::Build(route::UpDownRouting(fabric));
+  const topo::SwitchGraph torus = topo::MakeTorus3D(4, 4, 4, 32);
+  const dist::DistanceTable hops = dist::DistanceTable::BuildGraphHops(torus);
+  struct Case {
+    const dist::DistanceTable* table;
+    std::size_t hosts;
+    qual::CommGraph processes;
+  };
+  const std::vector<Case> cases = {{&table, 4, work::MakeRingComm(150)},
+                                   {&table, 4, work::MakeRandomComm(180, 5, 3)},
+                                   {&hops, 32, work::MakeGridComm(1500)}};
+  for (const Case& c : cases) {
+    for (const std::uint64_t seed : {1u, 97u}) {
+      MultilevelOptions options;
+      options.rng_seed = seed;
+      const MultilevelResult serial = MapMultilevel(c.processes, *c.table, c.hosts, options);
+      options.parallel_seeds = true;
+      const MultilevelResult parallel = MapMultilevel(c.processes, *c.table, c.hosts, options);
+      ASSERT_GT(serial.engine_seeds, 1u);
+      EXPECT_EQ(parallel.switch_of_process, serial.switch_of_process) << "seed=" << seed;
+      EXPECT_EQ(parallel.cost, serial.cost);
+      EXPECT_EQ(parallel.engine_evaluations, serial.engine_evaluations);
+      EXPECT_EQ(parallel.engine_iterations, serial.engine_iterations);
+      ASSERT_EQ(parallel.level_stats.size(), serial.level_stats.size());
+      for (std::size_t k = 0; k < serial.level_stats.size(); ++k) {
+        EXPECT_EQ(parallel.level_stats[k].cost_after, serial.level_stats[k].cost_after);
+        EXPECT_EQ(parallel.level_stats[k].moves, serial.level_stats[k].moves);
+      }
+    }
+  }
 }
 
 TEST(Multilevel, EngineRefinementImprovesOnGreedy) {

@@ -168,6 +168,27 @@ TEST(ServiceExec, RunMappingSearchMatchesDirectTabu) {
   EXPECT_EQ(sched::FormatSearchResult(via_exec), sched::FormatSearchResult(direct));
 }
 
+TEST(ServiceExec, MultilevelParallelSeedsMatchSerialAndShareTheMemoKey) {
+  const topo::SwitchGraph graph = topo::MakeTorus3D(4, 4, 4, 32);
+  const dist::DistanceTable table = dist::DistanceTable::BuildGraphHops(graph);
+  svc::MultilevelKnobs knobs;
+  knobs.processes = 1500;
+  knobs.distance = "hops";
+  const sched::ml::MultilevelResult serial =
+      svc::RunMultilevelSchedule(table, graph.hosts_per_switch(), knobs);
+  svc::MultilevelKnobs parallel = knobs;
+  parallel.parallel_seeds = true;  // the coarsest engine seeds run on the pool
+  const sched::ml::MultilevelResult pooled =
+      svc::RunMultilevelSchedule(table, graph.hosts_per_switch(), parallel);
+  ASSERT_GT(serial.engine_seeds, 1u);  // the engine ran several seeds
+  EXPECT_EQ(pooled.switch_of_process, serial.switch_of_process);
+  EXPECT_EQ(pooled.cost, serial.cost);
+  EXPECT_EQ(pooled.engine_evaluations, serial.engine_evaluations);
+  EXPECT_EQ(svc::FormatMultilevelText(pooled, graph.switch_count(), graph.hosts_per_switch()),
+            svc::FormatMultilevelText(serial, graph.switch_count(), graph.hosts_per_switch()));
+  EXPECT_EQ(svc::CanonicalMultilevelKnobs(parallel), svc::CanonicalMultilevelKnobs(knobs));
+}
+
 // ------------------------------------------------------------ protocol --
 
 TEST(ServiceProtocol, ParsesDefaultsAndFields) {
@@ -274,6 +295,27 @@ TEST(ServiceExecute, ScheduleCachesModelsAndResults) {
   const JsonValue aliased = svc::ParseJson(service.Execute(svc::ParseRequest(as_text.Finish())));
   EXPECT_EQ(aliased.Find("model_cache")->AsString("model_cache"), "hit");
   EXPECT_EQ(aliased.Find("result_cache")->AsString("result_cache"), "hit");
+}
+
+TEST(ServiceExecute, MultilevelParallelSeedsShareTheSerialResult) {
+  const std::string body =
+      R"("op":"schedule","topology":{"kind":"torus3d","x":4,"y":4,"z":4,"hosts":32},)"
+      R"("multilevel":true,"procs":1500,"distance":"hops")";
+  svc::SchedulingService pooled_service;
+  const JsonValue pooled = svc::ParseJson(pooled_service.Execute(
+      svc::ParseRequest("{\"id\":\"p\"," + body + R"(,"parallel_seeds":true})")));
+  ASSERT_TRUE(pooled.Find("ok")->AsBool("ok")) << pooled.Find("error")->AsString("error");
+  EXPECT_EQ(pooled.Find("result_cache")->AsString("result_cache"), "miss");
+  // The flag never changes the result, so the serial request is a memo hit.
+  const JsonValue hit =
+      svc::ParseJson(pooled_service.Execute(svc::ParseRequest("{\"id\":\"s\"," + body + "}")));
+  EXPECT_EQ(hit.Find("result_cache")->AsString("result_cache"), "hit");
+  svc::SchedulingService serial_service;
+  const JsonValue serial = svc::ParseJson(
+      serial_service.Execute(svc::ParseRequest("{\"id\":\"s\"," + body + "}")));
+  EXPECT_EQ(serial.Find("result_cache")->AsString("result_cache"), "miss");
+  EXPECT_EQ(pooled.Find("text")->AsString("text"), serial.Find("text")->AsString("text"));
+  EXPECT_EQ(pooled.Find("cost")->AsDouble("cost"), serial.Find("cost")->AsDouble("cost"));
 }
 
 TEST(ServiceExecute, QualityEvaluatesPartition) {

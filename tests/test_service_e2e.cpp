@@ -225,7 +225,7 @@ TEST(ServiceE2E, ConcurrentMixedBurstAnswersAllAndHitsCache) {
   ServeProcess serve({"--workers", "4", "--queue", "16"});
   std::set<std::string> expected_ids;
   for (int i = 0; i < 64; ++i) {
-    const std::string id = "b" + std::to_string(i);
+    const std::string id = std::string("b").append(std::to_string(i));
     expected_ids.insert(id);
     switch (i % 4) {
       case 0:
@@ -273,7 +273,7 @@ TEST(ServiceE2E, SigtermDrainsWithoutLosingResponses) {
   ServeProcess serve({"--workers", "2"});
   std::set<std::string> expected_ids;
   for (int i = 0; i < 12; ++i) {
-    const std::string id = "t" + std::to_string(i);
+    const std::string id = std::string("t").append(std::to_string(i));
     expected_ids.insert(id);
     if (i % 3 == 0) {
       serve.Send(R"({"id":")" + id + R"(","op":"sleep","ms":30})");

@@ -193,6 +193,7 @@ svc::MultilevelKnobs MultilevelKnobsFromArgs(const Args& args) {
   if (args.Has("iters")) knobs.iterations = args.GetSize("iters", 0);
   knobs.rng_seed = args.GetSize("search-seed", 1);
   knobs.distance = args.Get("distance", "resistance");
+  knobs.parallel_seeds = args.Has("parallel-seeds");
   svc::ValidateMultilevelKnobs(knobs);
   return knobs;
 }
@@ -684,7 +685,8 @@ int Usage() {
       "             --procs N processes, --pattern ring|grid|random,\n"
       "             --pattern-seed S, --coarsen-target N, --refine-budget B,\n"
       "             --distance resistance|hops (hops for large tori: resistance\n"
-      "             cost grows with each pair's minimal-path subgraph)\n"
+      "             cost grows with each pair's minimal-path subgraph),\n"
+      "             --parallel-seeds for the coarsest-level engine seeds\n"
       "  simulate   load sweep for a mapping (--mapping op|random|blocked,\n"
       "             --parallel-seeds for the op search, --vcs V,\n"
       "             --adaptive, --duato, --points P, --max-rate R,\n"
